@@ -7,7 +7,7 @@ degree part.  That convention is what makes division behave like
 division of power series at the origin.
 """
 
-from detindex import GT, LOCAL_ORDER, RingContext, monomial_compare, parse_poly
+from detindex import LOCAL_ORDER, RingContext, parse_poly
 
 ring = RingContext(("x", "y", "z", "u"))
 
@@ -18,9 +18,11 @@ g = parse_poly("1/2*x*y - 3*z^4 + 7", ring)
 print("rational coefficients survive round trips:", g.render())
 assert parse_poly(g.render(), ring) == g
 
-# 1 beats x, and x beats x^2: lower degree is greater
-print("compare(1, x):", monomial_compare((0, 0, 0, 0), (1, 0, 0, 0)) == GT)
-print("compare(x, x^2):", monomial_compare((1, 0, 0, 0), (2, 0, 0, 0)) == GT)
+# 1 beats x, and x beats x^2: lower degree is greater.  A smaller sort
+# key means a greater monomial.
+key = LOCAL_ORDER.sort_key
+print("1 > x:", key((0, 0, 0, 0)) < key((1, 0, 0, 0)))
+print("x > x^2:", key((1, 0, 0, 0)) < key((2, 0, 0, 0)))
 
 h = parse_poly("x + x^2 + y^3", ring)
 lead, _ = h.leading()

@@ -3,9 +3,11 @@
 Reads a JSON manifest describing a singularity (variables, defining
 matrix, rank bound t, 1-form coefficients, optional topological data),
 dispatches one computation, and emits a byte-stable JSON report: sorted
-keys, exact integers, the string "INFINITE" for infinite colengths, and
-no floats anywhere.  Emitted reports embed the normalized manifest, so a
-report file can itself be fed back as input and reproduces its output.
+keys, exact integers, the string "INFINITE" for the INFINITE sentinel,
+and no floats anywhere.  Every value is computed over the rationals
+under the one local order, which the report's provenance names.
+Emitted reports embed the normalized manifest, so a report file can
+itself be fed back as input and reproduces its output.
 
 Exit codes: 0 success, 1 manifest or usage validation error (the message
 names the offending field), 2 a computation signalled an infinite value
@@ -58,7 +60,7 @@ class ManifestError(ValueError):
 
 
 def _jsonable(value):
-    if value == INFINITE:
+    if value is INFINITE:
         return "INFINITE"
     if isinstance(value, bool) or isinstance(value, int):
         return value
@@ -116,7 +118,7 @@ def _require_int_list(manifest: dict, field: str, length: Optional[int] = None) 
 class ManifestData:
     """Validated manifest: ring plus whatever optional blocks are present."""
 
-    def __init__(self, manifest: dict, characteristic: int = 0):
+    def __init__(self, manifest: dict):
         self.raw = manifest
         self.ring = None
         self.matrix = None
@@ -126,7 +128,7 @@ class ManifestData:
         if "variables" in manifest:
             names = _require_string_list(manifest, "variables")
             try:
-                self.ring = RingContext(tuple(names), characteristic)
+                self.ring = RingContext(tuple(names))
             except ValueError as exc:
                 raise ManifestError("variables", str(exc)) from None
         if "matrix" in manifest:
@@ -227,7 +229,7 @@ def normalized_manifest(manifest: dict, data: ManifestData) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# oracle and modular cross-checks
+# engine value and oracle cross-check
 
 def _oracle_block(report, engine_value) -> dict:
     return {
@@ -238,16 +240,14 @@ def _oracle_block(report, engine_value) -> dict:
     }
 
 
-def _ideal_command(data: ManifestData, gens, args, finite_required: bool):
-    """Shared engine/oracle/modular plumbing for ideal colength commands."""
-    ideal = Ideal(gens)
-    value = colength(ideal)
+def _colength_command(args, finite_required: bool, engine, oracle, *inputs):
+    """Shared plumbing for colength commands: the value is engine(*inputs);
+    with --oracle, oracle(*inputs) re-derives it and must agree."""
+    value = engine(*inputs)
     extras = {}
-    exit_code = 0
-    if finite_required and value == INFINITE:
-        exit_code = 2
+    exit_code = 2 if finite_required and value is INFINITE else 0
     if args.oracle:
-        rep = stabilized_colength(ideal, ceiling=args.degree_cap)
+        rep = oracle(*inputs, ceiling=args.degree_cap)
         extras["oracle"] = _oracle_block(rep, value)
         if not rep.agrees_with(value):
             exit_code = 2
@@ -292,28 +292,23 @@ def _cmd_colength(data: ManifestData, args):
         gens = data.ideal
     else:
         gens = data.singularity().defining_minors()
-    value, extras, code = _ideal_command(data, gens, args, finite_required=False)
+    value, extras, code = _colength_command(args, False, colength, stabilized_colength, Ideal(gens))
     return {"colength": value}, extras, code
 
 
 def _cmd_alg_index(data: ManifestData, args):
     sing = data.singularity()
     ideal = algebra_ideal(sing, data.one_form())
-    value, extras, code = _ideal_command(data, ideal.generators, args, finite_required=True)
+    value, extras, code = _colength_command(args, True, colength, stabilized_colength, ideal)
     return {"alg_index": value}, extras, code
 
 
 def _cmd_hom_index(data: ManifestData, args):
     sing = data.singularity()
     rank, gens = omega_quotient_generators(sing, data.one_form())
-    value = module_colength(rank, gens)
-    extras = {}
-    code = 2 if value == INFINITE else 0
-    if args.oracle:
-        rep = stabilized_module_colength(rank, gens, ceiling=args.degree_cap)
-        extras["oracle"] = _oracle_block(rep, value)
-        if not rep.agrees_with(value):
-            code = 2
+    value, extras, code = _colength_command(
+        args, True, module_colength, stabilized_module_colength, rank, gens
+    )
     return {"omega_quotient_dim": value}, extras, code
 
 
@@ -326,7 +321,7 @@ def _cmd_icis(data: ManifestData, args):
         ideal = icis_ideal(defs, data.one_form())
     except ValueError as exc:
         raise ManifestError("matrix", str(exc)) from None
-    value, extras, code = _ideal_command(data, ideal.generators, args, finite_required=True)
+    value, extras, code = _colength_command(args, True, colength, stabilized_colength, ideal)
     return {"icis_index": value}, extras, code
 
 
@@ -336,7 +331,7 @@ def _cmd_gmvs(data: ManifestData, args):
         ideal = gmvs_ideal(sing, data.one_form())
     except ValueError as exc:
         raise ManifestError("matrix", str(exc)) from None
-    value, extras, code = _ideal_command(data, ideal.generators, args, finite_required=True)
+    value, extras, code = _colength_command(args, True, colength, stabilized_colength, ideal)
     return {"gmvs_index": value}, extras, code
 
 
@@ -426,17 +421,6 @@ _COMMANDS = {
 }
 
 
-def _parse_field(field: str):
-    if field == "q":
-        return 0
-    if field.startswith("p:"):
-        try:
-            return int(field[2:])
-        except ValueError:
-            raise ManifestError("(--field)", "expected p:<prime>") from None
-    raise ManifestError("(--field)", "expected 'q' or 'p:<prime>'")
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="detindex",
@@ -447,7 +431,6 @@ def build_parser() -> argparse.ArgumentParser:
         cmd = sub.add_parser(name)
         cmd.add_argument("manifest", nargs="?" if name == "tables" else None, help="path to a JSON manifest (or an emitted report)")
         cmd.add_argument("--oracle", action="store_true", help="re-derive the value by truncated linear algebra and assert agreement")
-        cmd.add_argument("--field", default="q", help="'q' (rationals, default) or 'p:<prime>' to add a modular pre-check")
         cmd.add_argument("--degree-cap", type=int, default=ORACLE_CEILING, help="hard cap for the oracle's truncation degree")
         cmd.add_argument("--output", help="write the report to this path instead of stdout")
         if name == "minors":
@@ -457,45 +440,11 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-_MODULAR_KEYS = {
-    "colength": "colength",
-    "alg-index": "alg_index",
-    "icis": "icis_index",
-    "gmvs": "gmvs_index",
-    "hom-index": "omega_quotient_dim",
-}
-
-
-def _modular_precheck(manifest: dict, args, rational_result: dict) -> dict:
-    p = _parse_field(args.field)
-    if p == 0:
-        return {}
-    key = _MODULAR_KEYS.get(args.command)
-    if key is None:
-        return {}
-    data_p = ManifestData(manifest, characteristic=p)
-    saved_oracle = args.oracle
-    args.oracle = False
-    try:
-        handler = _COMMANDS[args.command][0]
-        result_p, _, _ = handler(data_p, args)
-    finally:
-        args.oracle = saved_oracle
-    return {
-        "modular_precheck": {
-            "characteristic": p,
-            "value": result_p[key],
-            "agrees_with_rational": result_p[key] == rational_result[key],
-        }
-    }
-
-
 def run(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     handler, needs_manifest = _COMMANDS[args.command]
     try:
-        _parse_field(args.field)
         manifest = None
         data = None
         if getattr(args, "manifest", None) is not None:
@@ -509,8 +458,6 @@ def run(argv=None) -> int:
             "coefficient_field": "rationals",
         }
         provenance.update(extras)
-        if manifest is not None:
-            provenance.update(_modular_precheck(manifest, args, result))
         report = {
             "command": args.command,
             "result": result,

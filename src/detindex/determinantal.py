@@ -180,7 +180,7 @@ def classify(sing: DetSingularity) -> SingularityClass:
     dims = tuple(stratum_dim(m, n, i, N) for i in range(1, t + 1))
     finite = None
     if t >= 2:
-        finite = colength(stratum_ideal(sing, t - 1)) != INFINITE
+        finite = colength(stratum_ideal(sing, t - 1)) is not INFINITE
     return SingularityClass(
         smoothable=N < bound,
         isolated=N <= bound,
@@ -205,6 +205,6 @@ def chi_singular_stratum(sing: DetSingularity) -> int:
             % (N, (m - t + 2) * (n - t + 2))
         )
     value = colength(stratum_ideal(sing, t - 1))
-    if value == INFINITE:
+    if value is INFINITE:
         raise ValueError("infinite colength: the input is not an isolated determinantal singularity")
     return value

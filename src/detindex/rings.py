@@ -1,9 +1,8 @@
 """Exact sparse multivariate polynomials with a local monomial ordering.
 
-A polynomial is a map from exponent tuples to nonzero exact coefficients
-(``fractions.Fraction`` by default, or elements of a prime field in the
-optional modular mode).  The zero polynomial has an empty term map, so
-equality of canonical forms is plain dict equality.
+A polynomial is a map from exponent tuples to nonzero rational
+coefficients (``fractions.Fraction``).  The zero polynomial has an empty
+term map, so equality of canonical forms is plain dict equality.
 
 The single supported term order is anti-graded reverse lexicographic:
 lower total degree wins, ties are broken reverse-lexicographically.  Under
@@ -16,86 +15,18 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Iterator, Tuple
+from typing import Iterator, Tuple
 
 Monomial = Tuple[int, ...]
-
-LT, EQ, GT = -1, 0, 1
 
 _NAME_RE = re.compile(r"[A-Za-z][A-Za-z0-9_]*\Z")
 
 
-def _is_prime(p: int) -> bool:
-    if p < 2:
-        return False
-    if p % 2 == 0:
-        return p == 2
-    f = 3
-    while f * f <= p:
-        if p % f == 0:
-            return False
-        f += 2
-    return True
-
-
-class ModP:
-    """Element of the prime field Z/p, used only in the modular fast mode."""
-
-    __slots__ = ("value", "p")
-
-    def __init__(self, value: int, p: int):
-        self.value = value % p
-        self.p = p
-
-    def _check(self, other: "ModP") -> None:
-        if not isinstance(other, ModP) or other.p != self.p:
-            raise TypeError("mixed coefficient fields")
-
-    def __add__(self, other):
-        self._check(other)
-        return ModP(self.value + other.value, self.p)
-
-    def __sub__(self, other):
-        self._check(other)
-        return ModP(self.value - other.value, self.p)
-
-    def __mul__(self, other):
-        self._check(other)
-        return ModP(self.value * other.value, self.p)
-
-    def __truediv__(self, other):
-        self._check(other)
-        if other.value == 0:
-            raise ZeroDivisionError("division by zero in GF(%d)" % self.p)
-        return ModP(self.value * pow(other.value, -1, self.p), self.p)
-
-    def __neg__(self):
-        return ModP(-self.value, self.p)
-
-    def __eq__(self, other):
-        return isinstance(other, ModP) and other.p == self.p and other.value == self.value
-
-    def __hash__(self):
-        return hash((self.value, self.p))
-
-    def __bool__(self):
-        return self.value != 0
-
-    def __repr__(self):
-        return "ModP(%d, %d)" % (self.value, self.p)
-
-
 @dataclass(frozen=True)
 class RingContext:
-    """Ambient polynomial ring: ordered variable names plus coefficient field.
-
-    ``characteristic`` is 0 for the rationals (the default and the only mode
-    whose results are authoritative) or a prime p for the modular pre-check
-    mode.
-    """
+    """Ambient polynomial ring over the rationals: ordered variable names."""
 
     variables: Tuple[str, ...]
-    characteristic: int = 0
 
     def __post_init__(self):
         names = tuple(self.variables)
@@ -107,8 +38,6 @@ class RingContext:
         for name in names:
             if not _NAME_RE.match(name):
                 raise ValueError("invalid variable name %r" % (name,))
-        if self.characteristic != 0 and not _is_prime(self.characteristic):
-            raise ValueError("characteristic must be 0 or a prime")
 
     @property
     def nvars(self) -> int:
@@ -120,13 +49,8 @@ class RingContext:
         except ValueError:
             raise KeyError("unknown variable name %r" % (name,)) from None
 
-    def coeff(self, numerator: int, denominator: int = 1):
-        if self.characteristic == 0:
-            return Fraction(numerator, denominator)
-        num = ModP(numerator, self.characteristic)
-        if denominator == 1:
-            return num
-        return num / ModP(denominator, self.characteristic)
+    def coeff(self, numerator: int, denominator: int = 1) -> Fraction:
+        return Fraction(numerator, denominator)
 
     def zero_poly(self) -> "Poly":
         return Poly(self, {})
@@ -135,7 +59,7 @@ class RingContext:
         return self.constant(1)
 
     def constant(self, value) -> "Poly":
-        c = value if isinstance(value, (Fraction, ModP)) else self.coeff(value)
+        c = Fraction(value)
         if not c:
             return Poly(self, {})
         return Poly(self, {(0,) * self.nvars: c})
@@ -191,29 +115,14 @@ def monomials_up_to(nvars: int, maxdeg: int) -> Iterator[Monomial]:
 class LocalOrder:
     """Anti-graded reverse lexicographic order; 1 is the greatest monomial."""
 
-    kind: str = "antigraded-revlex"
-
     @staticmethod
     def sort_key(mono: Monomial):
         # Smaller key means greater monomial, so ascending-key iteration
         # walks monomials from greatest to least.
         return (sum(mono), mono[::-1])
 
-    def compare(self, a: Monomial, b: Monomial) -> int:
-        ka, kb = self.sort_key(a), self.sort_key(b)
-        if ka == kb:
-            return EQ
-        return GT if ka < kb else LT
-
 
 LOCAL_ORDER = LocalOrder()
-
-
-def monomial_compare(a: Monomial, b: Monomial, order: LocalOrder = LOCAL_ORDER) -> int:
-    """Three-way comparison under the local order: GT means a > b."""
-    if len(a) != len(b):
-        raise ValueError("monomials from different rings")
-    return order.compare(a, b)
 
 
 class Poly:
@@ -258,26 +167,26 @@ class Poly:
     def constant_term(self):
         return self.terms.get((0,) * self.ring.nvars, self.ring.coeff(0))
 
-    def leading(self, order: LocalOrder = LOCAL_ORDER):
+    def leading(self):
         """(monomial, coefficient) of the greatest term; None for zero."""
         if not self.terms:
             return None
         if self._lead is None:
-            m = min(self.terms, key=order.sort_key)
+            m = min(self.terms, key=LocalOrder.sort_key)
             self._lead = (m, self.terms[m])
         return self._lead
 
-    def leading_monomial(self, order: LocalOrder = LOCAL_ORDER) -> Monomial:
-        lead = self.leading(order)
+    def leading_monomial(self) -> Monomial:
+        lead = self.leading()
         if lead is None:
             raise ValueError("zero polynomial has no leading monomial")
         return lead[0]
 
-    def ecart(self, order: LocalOrder = LOCAL_ORDER) -> int:
+    def ecart(self) -> int:
         """Total degree spread above the leading monomial; >= 0, 0 for zero."""
         if not self.terms:
             return 0
-        return self.total_degree() - sum(self.leading(order)[0])
+        return self.total_degree() - sum(self.leading()[0])
 
     # -- arithmetic ----------------------------------------------------------
 
@@ -347,15 +256,11 @@ class Poly:
             return Poly(self.ring, {})
         return Poly(self.ring, {mono_mul(m, mono): c * coeff for m, c in self.terms.items()})
 
-    def monic(self, order: LocalOrder = LOCAL_ORDER) -> "Poly":
-        lead = self.leading(order)
-        if lead is None:
+    def monic(self) -> "Poly":
+        lead = self.leading()
+        if lead is None or lead[1] == 1:
             return self
-        lc = lead[1]
-        one = self.ring.coeff(1)
-        if lc == one:
-            return self
-        return self.scale(one / lc)
+        return self.scale(1 / lead[1])
 
     def partial_derivative(self, index: int) -> "Poly":
         if not 0 <= index < self.ring.nvars:
@@ -367,7 +272,7 @@ class Poly:
                 continue
             dm = list(m)
             dm[index] = e - 1
-            dc = c * self.ring.coeff(e)
+            dc = c * e
             key = tuple(dm)
             if key in out:
                 s = out[key] + dc
@@ -389,30 +294,19 @@ class Poly:
             parts.append(name if e == 1 else "%s^%d" % (name, e))
         return "*".join(parts)
 
-    def render(self, order: LocalOrder = LOCAL_ORDER) -> str:
-        """Canonical text form: terms in decreasing order under the order."""
+    def render(self) -> str:
+        """Canonical text form: terms in decreasing order under the local order."""
         if not self.terms:
             return "0"
         pieces = []
-        for mono in sorted(self.terms, key=order.sort_key):
+        for mono in sorted(self.terms, key=LocalOrder.sort_key):
             c = self.terms[mono]
-            if isinstance(c, Fraction) and c < 0:
-                sign, mag = "-", -c
-            else:
-                sign, mag = "+", c
+            sign, mag = ("-", -c) if c < 0 else ("+", c)
             mono_s = self._mono_str(mono)
-            if isinstance(mag, Fraction):
-                coeff_s = str(mag.numerator) if mag.denominator == 1 else "%d/%d" % (
-                    mag.numerator,
-                    mag.denominator,
-                )
-                is_one = mag == 1
-            else:
-                coeff_s = str(mag.value)
-                is_one = mag.value == 1
+            coeff_s = str(mag)
             if not mono_s:
                 body = coeff_s
-            elif is_one:
+            elif mag == 1:
                 body = mono_s
             else:
                 body = coeff_s + "*" + mono_s
@@ -425,18 +319,6 @@ class Poly:
 
     def __repr__(self):
         return "Poly(%s)" % self.render()
-
-
-def poly_add(f: Poly, g: Poly) -> Poly:
-    return f + g
-
-
-def poly_mul(f: Poly, g: Poly) -> Poly:
-    return f * g
-
-
-def partial_derivative(f: Poly, index: int) -> Poly:
-    return f.partial_derivative(index)
 
 
 # ---------------------------------------------------------------------------
@@ -579,6 +461,3 @@ def parse_poly(src: str, ring: RingContext) -> Poly:
     the ring's variables into a canonical Poly."""
     return _Parser(src, ring).parse()
 
-
-def parse_polys(sources: Iterable[str], ring: RingContext) -> list:
-    return [parse_poly(s, ring) for s in sources]

@@ -32,6 +32,7 @@ of standard monomials under the staircase.
 
 from __future__ import annotations
 
+import enum
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product as iter_product
@@ -50,7 +51,23 @@ from .rings import (
     mono_mul,
 )
 
-INFINITE = float("inf")
+
+class _Infinite(enum.Enum):
+    """Type of the INFINITE colength sentinel.
+
+    One enum member keeps its identity under copy and pickle, so callers
+    test for it with ``value is INFINITE``.
+    """
+
+    INFINITE = "INFINITE"
+
+    def __repr__(self):
+        return "INFINITE"
+
+    __str__ = __repr__
+
+
+INFINITE = _Infinite.INFINITE
 
 
 @dataclass(frozen=True)
@@ -118,7 +135,7 @@ class StandardBasis:
     staircase: Tuple[Monomial, ...]
 
     def normal_form(self, f: Poly) -> Poly:
-        return normal_form(f, self.elements, self.order)
+        return normal_form(f, self.elements)
 
     def contains(self, f: Poly) -> bool:
         return not self.normal_form(f)
@@ -179,32 +196,23 @@ def _vec_scale(v: _Vec, coeff) -> _Vec:
 
 
 def _vec_primitive(v: _Vec, okey) -> _Vec:
-    """Scale by a nonzero constant to a canonical representative.
-
-    Over the rationals: integer coefficients with content 1 and positive
-    leading coefficient (keeps coefficient growth in check during long
-    reduction chains).  Over a prime field: leading coefficient 1.
-    """
+    """Scale by a nonzero rational to a canonical representative: integer
+    coefficients with content 1 and positive leading coefficient (keeps
+    coefficient growth in check during long reduction chains)."""
     if not v.terms:
         return v
     lead_key, lead_coeff = v.lead(okey)
-    if isinstance(lead_coeff, Fraction):
-        den = 1
-        for c in v.terms.values():
-            den = den * c.denominator // gcd(den, c.denominator)
-        num = 0
-        for c in v.terms.values():
-            num = gcd(num, c.numerator * (den // c.denominator))
-        if lead_coeff < 0:
-            num = -num
-        scale = Fraction(den, num)
-        if scale == 1:
-            return v
-    else:
-        one = lead_coeff / lead_coeff
-        if lead_coeff == one:
-            return v
-        scale = one / lead_coeff
+    den = 1
+    for c in v.terms.values():
+        den = den * c.denominator // gcd(den, c.denominator)
+    num = 0
+    for c in v.terms.values():
+        num = gcd(num, c.numerator * (den // c.denominator))
+    if lead_coeff < 0:
+        num = -num
+    scale = Fraction(den, num)
+    if scale == 1:
+        return v
     out = _Vec({k: c * scale for k, c in v.terms.items()})
     out._lead = (lead_key, lead_coeff * scale)
     out._maxdeg = v._maxdeg
@@ -423,16 +431,15 @@ def _minimalize(G: List[_Vec], okey) -> List[_Vec]:
 
 def _monic(v: _Vec, okey) -> _Vec:
     lc = v.lead(okey)[1]
-    one = lc / lc
-    if lc == one:
+    if lc == 1:
         return v
-    return _vec_scale(v, one / lc)
+    return _vec_scale(v, 1 / lc)
 
 
 # ---------------------------------------------------------------------------
 # public operations
 
-def normal_form(f: Poly, basis: Iterable[Poly], order: LocalOrder = LOCAL_ORDER) -> Poly:
+def normal_form(f: Poly, basis: Iterable[Poly]) -> Poly:
     """Mora remainder of f against the given polynomials.
 
     The result r satisfies u*f = sum q_i g_i + r for some unit u of the
@@ -442,25 +449,24 @@ def normal_form(f: Poly, basis: Iterable[Poly], order: LocalOrder = LOCAL_ORDER)
     if isinstance(basis, StandardBasis):
         basis = basis.elements
     reducers = [_vec_from_components([g]) for g in basis if g]
-    out = _mora_normal_form(_vec_from_components([f]), reducers, order.sort_key)
+    out = _mora_normal_form(_vec_from_components([f]), reducers, LocalOrder.sort_key)
     terms = {m: c for (_, m), c in out.terms.items()}
     return Poly(f.ring, terms)
 
 
-def standard_basis(ideal: Ideal, order: LocalOrder = LOCAL_ORDER) -> StandardBasis:
+def standard_basis(ideal: Ideal) -> StandardBasis:
     """Reduced standard basis of the ideal in the local ring."""
-    okey = order.sort_key
     ring = ideal.ring
     gens = [_vec_from_components([g]) for g in ideal.generators]
-    basis = _complete_basis(gens, 1, okey)
+    basis = _complete_basis(gens, 1, LocalOrder.sort_key)
     elements = []
     staircase = []
     for v in basis:
         terms = {m: c for (_, m), c in v.terms.items()}
         poly = Poly(ring, terms)
         elements.append(poly)
-        staircase.append(poly.leading_monomial(order))
-    return StandardBasis(ring, order, tuple(elements), tuple(staircase))
+        staircase.append(poly.leading_monomial())
+    return StandardBasis(ring, LOCAL_ORDER, tuple(elements), tuple(staircase))
 
 
 def _staircase_count(lead_sets: Sequence[Sequence[Monomial]], nvars: int):
@@ -483,15 +489,12 @@ def _staircase_count(lead_sets: Sequence[Sequence[Monomial]], nvars: int):
     return total
 
 
-def colength(ideal: Ideal, order: LocalOrder = LOCAL_ORDER):
-    """Dimension of O_local / ideal over the coefficient field, or INFINITE."""
-    basis = standard_basis(ideal, order)
-    return _staircase_count([basis.staircase], ideal.ring.nvars)
+def colength(ideal: Ideal):
+    """Dimension of O_local / ideal over the rationals, or INFINITE."""
+    return standard_basis(ideal).colength()
 
 
-def module_standard_basis(
-    rank: int, gens: Sequence[FreeModuleElement], order: LocalOrder = LOCAL_ORDER
-) -> List[FreeModuleElement]:
+def module_standard_basis(rank: int, gens: Sequence[FreeModuleElement]) -> List[FreeModuleElement]:
     """Standard basis of a submodule of O^r under position-over-term order."""
     for g in gens:
         if g.rank != rank:
@@ -501,13 +504,11 @@ def module_standard_basis(
         return []
     ring = nonzero[0].ring
     vecs = [_vec_from_components(g.components) for g in nonzero]
-    basis = _complete_basis(vecs, rank, order.sort_key)
+    basis = _complete_basis(vecs, rank, LocalOrder.sort_key)
     return [_vec_to_element(v, rank, ring) for v in basis]
 
 
-def module_colength(
-    rank: int, gens: Sequence[FreeModuleElement], order: LocalOrder = LOCAL_ORDER
-):
+def module_colength(rank: int, gens: Sequence[FreeModuleElement]):
     """Dimension of O^rank / <gens>, or INFINITE."""
     if rank < 1:
         raise ValueError("rank must be positive")
@@ -518,7 +519,7 @@ def module_colength(
     if not nonzero:
         return INFINITE
     ring = nonzero[0].ring
-    okey = order.sort_key
+    okey = LocalOrder.sort_key
     basis = _complete_basis(
         [_vec_from_components(g.components) for g in nonzero], rank, okey
     )

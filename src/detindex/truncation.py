@@ -10,19 +10,18 @@ degree zero, two equal consecutive values dim at caps D-1 and D certify
 that the quotient is finite-dimensional and that the shared value is the
 exact colength, so stabilization is a proof, not a heuristic.
 
-The linear algebra always runs in the generators' own coefficient field
-and never takes the modular shortcut, so the oracle shares no failure
-mode with any fast path.
+The linear algebra runs over the rationals on the generators as given,
+with no division, écart or homogenization step, so the oracle shares no
+failure mode with the standard-basis engine.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import List, Sequence, Tuple
 
 from .rings import mono_degree, mono_mul, monomials_up_to
-from .standard_bases import FreeModuleElement, Ideal
+from .standard_bases import INFINITE, FreeModuleElement, Ideal
 
 ORACLE_START_CAP = 4
 ORACLE_CEILING = 64
@@ -41,14 +40,7 @@ class TruncationReport:
         if self.stabilized:
             return engine_value == self.value
         # Never stabilizing is consistent only with an infinite quotient.
-        return engine_value == float("inf")
-
-
-def chi_bar_sum(m: int, t: int) -> int:
-    """Alternating binomial sum over matrix ranks below t."""
-    if not 1 <= t <= m:
-        raise ValueError("need 1 <= t <= m")
-    return -sum((-1) ** k * math.comb(m, k) for k in range(t))
+        return engine_value is INFINITE
 
 
 def _rows_for_cap(rank: int, gens, nvars: int, cap: int):

@@ -1,3 +1,4 @@
+import math
 import random
 
 import pytest
@@ -42,3 +43,11 @@ def random_poly(ring, rng, max_terms=5, max_deg=3, allow_constant=True):
 
 def rng_for(name, seed=0):
     return random.Random(hash((name, seed)) & 0xFFFFFFFF)
+
+
+def chi_bar_sum(m, t):
+    """Alternating binomial sum over matrix ranks below t: the reference
+    value of the closed form chi_bar_hyperplane(m, m, t)."""
+    if not 1 <= t <= m:
+        raise ValueError("need 1 <= t <= m")
+    return -sum((-1) ** k * math.comb(m, k) for k in range(t))

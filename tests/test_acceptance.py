@@ -18,7 +18,6 @@ from detindex import (
     RingContext,
     StrataIndexData,
     chi_bar_hyperplane,
-    chi_bar_sum,
     chi_singular_stratum,
     coeff_matrices,
     colength,
@@ -36,6 +35,8 @@ from detindex import (
     stratum_ideal,
 )
 from detindex.cli import main
+
+from conftest import chi_bar_sum
 
 MANIFEST = os.path.join(os.path.dirname(__file__), os.pardir, "manifests", "surface-232.json")
 

@@ -44,15 +44,6 @@ def test_oracle_flag_reports_agreement(capsys):
     assert oracle["value"] == 5
 
 
-def test_modular_precheck(capsys):
-    code, out, _ = run_cli(capsys, "alg-index", SURFACE, "--field", "p:32003")
-    assert code == 0
-    pre = json.loads(out)["provenance"]["modular_precheck"]
-    assert pre["characteristic"] == 32003
-    assert pre["value"] == 5
-    assert pre["agrees_with_rational"] is True
-
-
 def test_report_round_trip_is_byte_stable(tmp_path, capsys):
     out1 = str(tmp_path / "report1.json")
     out2 = str(tmp_path / "report2.json")

@@ -6,7 +6,6 @@ import pytest
 from detindex import (
     StrataIndexData,
     chi_bar_hyperplane,
-    chi_bar_sum,
     chi_fiber,
     coeff_matrices,
     isolated_indices,
@@ -17,6 +16,8 @@ from detindex import (
     stratum_dim,
 )
 from detindex.conversions import _ph_sum
+
+from conftest import chi_bar_sum
 
 
 # -- resolution fiber Euler characteristics -------------------------------------

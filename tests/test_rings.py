@@ -3,15 +3,9 @@ import random
 import pytest
 
 from detindex import (
-    EQ,
-    GT,
-    LT,
     LOCAL_ORDER,
-    ModP,
-    Poly,
     PolyParseError,
     RingContext,
-    monomial_compare,
     parse_poly,
 )
 
@@ -147,20 +141,24 @@ def test_leibniz_rule_randomized(ring_xyz):
 
 
 # -- the local order ----------------------------------------------------------
+# A smaller sort key means a greater monomial.
+
+key = LOCAL_ORDER.sort_key
+
 
 def test_one_is_greatest():
-    assert monomial_compare((0, 0), (1, 0)) == GT
-    assert monomial_compare((0, 0), (0, 3)) == GT
+    assert key((0, 0)) < key((1, 0))
+    assert key((0, 0)) < key((0, 3))
 
 
 def test_equal_degree_revlex_tie_break():
     # x^2 vs x*y at equal degree: reverse lexicographic puts x^2 first
-    assert monomial_compare((2, 0), (1, 1)) == GT
-    assert monomial_compare((1, 1), (2, 0)) == LT
+    assert key((2, 0)) < key((1, 1))
+    assert key((1, 1)) > key((2, 0))
 
 
 def test_compare_reflexive():
-    assert monomial_compare((1, 0), (1, 0)) == EQ
+    assert key((1, 0)) == key((1, 0))
 
 
 def _random_monomials(rng, nvars, count, max_deg=4):
@@ -178,49 +176,28 @@ def test_order_axioms_randomized():
     monos = _random_monomials(rng, 3, 40)
     for a in monos:
         for b in monos:
-            cab, cba = monomial_compare(a, b), monomial_compare(b, a)
-            assert cab == -cba
-            assert (cab == EQ) == (a == b)
+            ka, kb = key(a), key(b)
+            assert (ka < kb) + (ka == kb) + (ka > kb) == 1
+            assert (ka == kb) == (a == b)
             if sum(a) < sum(b):
-                assert cab == GT  # anti-graded: lower degree is greater
+                assert ka < kb  # anti-graded: lower degree is greater
             for c in monos:
                 # multiplication compatible
-                if cab == GT:
+                if ka < kb:
                     pa = tuple(x + y for x, y in zip(a, c))
                     pb = tuple(x + y for x, y in zip(b, c))
-                    assert monomial_compare(pa, pb) == GT
+                    assert key(pa) < key(pb)
     # transitivity on sorted triples
-    key = LOCAL_ORDER.sort_key
     s = sorted(monos, key=key)
     for i in range(len(s) - 2):
-        if monomial_compare(s[i], s[i + 1]) == GT and monomial_compare(s[i + 1], s[i + 2]) == GT:
-            assert monomial_compare(s[i], s[i + 2]) == GT
+        if key(s[i]) < key(s[i + 1]) and key(s[i + 1]) < key(s[i + 2]):
+            assert key(s[i]) < key(s[i + 2])
 
 
 def test_leading_monomial_has_least_degree(ring_xy):
     p = P("x + x^2 + y^3", ring_xy)
     assert p.leading_monomial() == (1, 0)
     assert p.ecart() == 2
-
-
-# -- prime-field mode ----------------------------------------------------------
-
-def test_modular_ring_round_trip():
-    ring = RingContext(("x", "y"), characteristic=7)
-    p = P("5*x + 3/2", ring)
-    # 3/2 = 3 * 4 = 12 = 5 mod 7
-    assert p.terms[(0, 0)] == ModP(5, 7)
-    assert P(p.render(), ring) == p
-
-
-def test_modular_arithmetic_wraps():
-    ring = RingContext(("x",), characteristic=5)
-    assert (P("3*x", ring) + P("2*x", ring)).is_zero()
-
-
-def test_characteristic_must_be_prime():
-    with pytest.raises(ValueError):
-        RingContext(("x",), characteristic=6)
 
 
 def test_variable_names_validated():

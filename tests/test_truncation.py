@@ -1,3 +1,6 @@
+import copy
+import pickle
+
 import pytest
 
 from detindex import (
@@ -5,7 +8,6 @@ from detindex import (
     FreeModuleElement,
     Ideal,
     RingContext,
-    chi_bar_sum,
     colength,
     parse_poly,
     stabilized_colength,
@@ -13,6 +15,8 @@ from detindex import (
     truncated_colength_oracle,
     truncated_module_colength,
 )
+
+from conftest import chi_bar_sum
 
 
 def P(src, ring):
@@ -63,6 +67,19 @@ def test_doubling_driver_gives_up_honestly(ring_xy):
     assert not report.stabilized
     assert report.agrees_with(INFINITE)
     assert not report.agrees_with(5)
+
+
+def test_infinite_is_a_sentinel_not_a_float(ring_xy):
+    assert not isinstance(INFINITE, float)
+    assert copy.copy(INFINITE) is INFINITE
+    assert copy.deepcopy(INFINITE) is INFINITE
+    assert pickle.loads(pickle.dumps(INFINITE)) is INFINITE
+    I = Ideal([P("x*y", ring_xy)])
+    assert colength(I) is INFINITE
+    report = stabilized_colength(I, start=4, ceiling=8)
+    assert not report.stabilized
+    assert report.agrees_with(INFINITE)
+    assert not report.agrees_with(float("inf"))
 
 
 def test_truncated_module_matches_engine(ring_xy):
