@@ -243,6 +243,8 @@ def _oracle_block(report, engine_value) -> dict:
 def _colength_command(args, finite_required: bool, engine, oracle, *inputs):
     """Shared plumbing for colength commands: the value is engine(*inputs);
     with --oracle, oracle(*inputs) re-derives it and must agree."""
+    if args.oracle and args.degree_cap < 2:
+        raise ManifestError("(--degree-cap)", "must be at least 2: the oracle compares two caps")
     value = engine(*inputs)
     extras = {}
     exit_code = 2 if finite_required and value is INFINITE else 0

@@ -360,12 +360,19 @@ def _tokenize(src: str):
     return tokens
 
 
+# Each parenthesis level costs four Python frames (expr, term, factor,
+# atom); this bound keeps the parser well inside the interpreter's
+# recursion limit whatever the caller's stack depth.
+_MAX_NESTING = 100
+
+
 class _Parser:
     def __init__(self, src: str, ring: RingContext):
         self.src = src
         self.ring = ring
         self.tokens = _tokenize(src)
         self.i = 0
+        self.depth = 0
 
     def peek(self):
         return self.tokens[self.i]
@@ -450,8 +457,12 @@ class _Parser:
             except KeyError:
                 raise PolyParseError("unknown variable name %r" % value, pos) from None
         if kind == "op" and value == "(":
+            if self.depth == _MAX_NESTING:
+                raise PolyParseError("expression nested too deeply", pos)
+            self.depth += 1
             poly = self.expr()
             self.expect_op(")")
+            self.depth -= 1
             return poly
         raise PolyParseError("expected a number, variable, or parenthesis", pos)
 

@@ -14,11 +14,21 @@ the original variables), and the result is dehomogenized.  Setting the
 extra variable to 1 in such a basis yields a standard basis for the
 local order.  This route avoids the long écart-driven reduction chains
 of a direct Mora completion, whose exact rational coefficients blow up
-badly on dense input.  Critical pairs are processed smallest-lcm-degree
-first; coprime leading terms are discarded in the ideal case (the
-product criterion is not sound for submodules of free modules and is
-skipped there), and the classical chain criterion prunes pairs dominated
-by an already-treated element.
+badly on dense input.  Critical pairs wait in a heap keyed, when the
+pair is created, by (lcm degree, component, lcm order key, i, j); leading
+terms of basis elements never change, so the key is fixed and pairs pop
+smallest-lcm-degree first.  Coprime leading terms are discarded in the
+ideal case (the product criterion is not sound for submodules of free
+modules and is skipped there), and the classical chain criterion prunes
+pairs dominated by an already-treated element.
+
+Coefficients are rationals (``Fraction``) at the public functions and
+Python ints inside the engine.  Denominators are cleared once on the way
+in, and every vector the engine makes is kept primitive: integer
+coefficients with content 1 and a positive leading coefficient.  That
+representative is unique, so the reduction steps are fraction-free.
+Results turn back into rationals only when a basis is made monic and
+when normal_form returns.
 
 Both ideals in the ring and submodules of a free module O^r are handled
 by one engine; module terms are keyed by (component, exponent tuple)
@@ -33,10 +43,11 @@ of standard monomials under the staircase.
 from __future__ import annotations
 
 import enum
+import heapq
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product as iter_product
-from math import gcd
+from math import gcd, lcm
 from typing import Iterable, List, Sequence, Tuple
 
 from .rings import (
@@ -145,7 +156,8 @@ class StandardBasis:
 
 
 # ---------------------------------------------------------------------------
-# internal vector representation: dict[(component, exponent tuple)] -> coeff
+# internal vector representation: dict[(component, exponent tuple)] -> int
+# (Fraction only in the monic vectors _minimalize returns)
 
 class _Vec:
     __slots__ = ("terms", "_lead", "_maxdeg")
@@ -177,10 +189,14 @@ class _Vec:
 
 
 def _vec_from_components(components: Sequence[Poly]) -> _Vec:
+    """Integer vector: the rational components times the least common
+    denominator of their coefficients (a positive scalar)."""
+    coeffs = [c for poly in components for c in poly.terms.values()]
+    den = lcm(*(c.denominator for c in coeffs))
     terms = {}
     for comp, poly in enumerate(components):
         for m, c in poly.terms.items():
-            terms[(comp, m)] = c
+            terms[(comp, m)] = c.numerator * (den // c.denominator)
     return _Vec(terms)
 
 
@@ -191,39 +207,37 @@ def _vec_to_element(vec: _Vec, rank: int, ring: RingContext) -> FreeModuleElemen
     return FreeModuleElement(rank, [Poly(ring, b) for b in buckets])
 
 
-def _vec_scale(v: _Vec, coeff) -> _Vec:
-    return _Vec({k: c * coeff for k, c in v.terms.items()})
-
-
 def _vec_primitive(v: _Vec, okey) -> _Vec:
-    """Scale by a nonzero rational to a canonical representative: integer
-    coefficients with content 1 and positive leading coefficient (keeps
-    coefficient growth in check during long reduction chains)."""
+    """Divide an integer vector by its content, signed so that the leading
+    coefficient is positive: the canonical representative of v up to a
+    nonzero scalar (keeps coefficient growth in check during long
+    reduction chains)."""
     if not v.terms:
         return v
     lead_key, lead_coeff = v.lead(okey)
-    den = 1
-    for c in v.terms.values():
-        den = den * c.denominator // gcd(den, c.denominator)
-    num = 0
-    for c in v.terms.values():
-        num = gcd(num, c.numerator * (den // c.denominator))
+    content = gcd(*v.terms.values())
     if lead_coeff < 0:
-        num = -num
-    scale = Fraction(den, num)
-    if scale == 1:
+        content = -content
+    if content == 1:
         return v
-    out = _Vec({k: c * scale for k, c in v.terms.items()})
-    out._lead = (lead_key, lead_coeff * scale)
+    out = _Vec({k: c // content for k, c in v.terms.items()})
+    out._lead = (lead_key, lead_coeff // content)
     out._maxdeg = v._maxdeg
     return out
 
 
+def _cofactors(a: int, b: int) -> Tuple[int, int]:
+    """a and b divided by their (positive) gcd."""
+    d = gcd(a, b)
+    return a // d, b // d
+
+
 def _reduce_step(h: _Vec, g: _Vec, okey) -> _Vec:
-    """Cancel the lead of h against g: gc * h - hc * x^shift * g,
-    followed by content normalization (fraction-free over Q)."""
+    """Cancel the lead of h against g: gc * h - hc * x^shift * g (with
+    gc, hc divided by their gcd), followed by content normalization."""
     (hcomp, hmono), hc = h.lead(okey)
     (gcomp, gmono), gc = g.lead(okey)
+    gc, hc = _cofactors(gc, hc)
     shift = mono_div(hmono, gmono)
     out = {k: c * gc for k, c in h.terms.items()}
     for (comp, m), c in g.terms.items():
@@ -271,10 +285,11 @@ def _mora_normal_form(f: _Vec, reducers: Sequence[_Vec], okey) -> _Vec:
 def _spair(gi: _Vec, gj: _Vec, okey) -> _Vec:
     (comp, mi), ci = gi.lead(okey)
     (_, mj), cj = gj.lead(okey)
-    lcm = mono_lcm(mi, mj)
-    si = mono_div(lcm, mi)
+    ci, cj = _cofactors(ci, cj)
+    lcm_ij = mono_lcm(mi, mj)
+    si = mono_div(lcm_ij, mi)
     out = {(c, mono_mul(m, si)): coeff * cj for (c, m), coeff in gi.terms.items()}
-    sj = mono_div(lcm, mj)
+    sj = mono_div(lcm_ij, mj)
     for (c, m), coeff in gj.terms.items():
         key = (c, mono_mul(m, sj))
         delta = coeff * ci
@@ -335,35 +350,35 @@ def _buchberger(gens: Sequence[_Vec], rank: int, okey) -> List[_Vec]:
     def lead_of(i):
         return G[i].lead(okey)[0]
 
-    pairs = set()
+    # Heap entries are (lcm degree, component, order key of lcm, i, j, lcm).
+    # The key is a total order and (i, j) is unique, so lcm is never
+    # compared and pairs pop in ascending key order.
+    pairs: list = []
+
+    def push(i, j):
+        (comp, mi) = lead_of(i)
+        lcm_ij = mono_lcm(mi, lead_of(j)[1])
+        heapq.heappush(pairs, (sum(lcm_ij), comp, okey(lcm_ij), i, j, lcm_ij))
+
     for i in range(len(G)):
         for j in range(i + 1, len(G)):
             if lead_of(i)[0] == lead_of(j)[0]:
-                pairs.add((i, j))
+                push(i, j)
     done = set()
 
-    def pair_sort_key(pair):
-        i, j = pair
-        (comp, mi) = lead_of(i)
-        mj = lead_of(j)[1]
-        lcm = mono_lcm(mi, mj)
-        return (sum(lcm), comp, okey(lcm), i, j)
-
     while pairs:
-        i, j = min(pairs, key=pair_sort_key)
-        pairs.discard((i, j))
+        _, comp, _, i, j, lcm_ij = heapq.heappop(pairs)
         done.add((i, j))
-        (comp, mi) = lead_of(i)
+        mi = lead_of(i)[1]
         mj = lead_of(j)[1]
-        lcm = mono_lcm(mi, mj)
-        if rank == 1 and lcm == mono_mul(mi, mj):
+        if rank == 1 and lcm_ij == mono_mul(mi, mj):
             continue  # product criterion; sound for ideals only
         skip = False
         for k in range(len(G)):
             if k in (i, j):
                 continue
             (kcomp, mk) = lead_of(k)
-            if kcomp != comp or not mono_divides(mk, lcm):
+            if kcomp != comp or not mono_divides(mk, lcm_ij):
                 continue
             pik = (min(i, k), max(i, k))
             pjk = (min(j, k), max(j, k))
@@ -380,7 +395,7 @@ def _buchberger(gens: Sequence[_Vec], rank: int, okey) -> List[_Vec]:
         (ncomp, _) = lead_of(new)
         for k in range(new):
             if lead_of(k)[0] == ncomp:
-                pairs.add((k, new))
+                push(k, new)
     return G
 
 
@@ -430,10 +445,9 @@ def _minimalize(G: List[_Vec], okey) -> List[_Vec]:
 
 
 def _monic(v: _Vec, okey) -> _Vec:
-    lc = v.lead(okey)[1]
-    if lc == 1:
-        return v
-    return _vec_scale(v, 1 / lc)
+    """Rational vector with leading coefficient 1."""
+    inv = Fraction(1, v.lead(okey)[1])
+    return _Vec({k: c * inv for k, c in v.terms.items()})
 
 
 # ---------------------------------------------------------------------------
@@ -449,8 +463,11 @@ def normal_form(f: Poly, basis: Iterable[Poly]) -> Poly:
     if isinstance(basis, StandardBasis):
         basis = basis.elements
     reducers = [_vec_from_components([g]) for g in basis if g]
-    out = _mora_normal_form(_vec_from_components([f]), reducers, LocalOrder.sort_key)
-    terms = {m: c for (_, m), c in out.terms.items()}
+    start = _vec_from_components([f])
+    out = _mora_normal_form(start, reducers, LocalOrder.sort_key)
+    if out is start:
+        return f  # nothing to reduce: f itself, not a rescaled copy
+    terms = {m: Fraction(c) for (_, m), c in out.terms.items()}
     return Poly(f.ring, terms)
 
 

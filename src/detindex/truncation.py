@@ -131,7 +131,9 @@ def truncated_module_colength(
 
 
 def _stabilize(rank: int, gen_terms, nvars: int, start: int, ceiling: int) -> TruncationReport:
-    cap = max(2, start)
+    if ceiling < 2:
+        raise ValueError("ceiling must be at least 2: stabilization compares two caps")
+    cap = min(max(2, start), ceiling)
     dims: List[Tuple[int, int]] = []
     known = {}
     while cap <= ceiling:
@@ -142,8 +144,7 @@ def _stabilize(rank: int, gen_terms, nvars: int, start: int, ceiling: int) -> Tr
         if known[cap - 1] == known[cap]:
             return TruncationReport(cap, tuple(dims), True, known[cap])
         cap *= 2
-    last = dims[-1][1] if dims else 0
-    return TruncationReport(min(cap, ceiling), tuple(dims), False, last)
+    return TruncationReport(min(cap, ceiling), tuple(dims), False, dims[-1][1])
 
 
 def stabilized_colength(

@@ -44,6 +44,26 @@ def test_oracle_flag_reports_agreement(capsys):
     assert oracle["value"] == 5
 
 
+def test_oracle_degree_cap_below_two_names_the_flag(capsys):
+    for cap in ("0", "1"):
+        code, out, err = run_cli(capsys, "alg-index", SURFACE, "--oracle", "--degree-cap", cap)
+        assert code == 1
+        assert out == ""
+        assert "--degree-cap" in err
+
+
+def test_oracle_degree_cap_below_start_is_evaluated(tmp_path, capsys):
+    code, out, _ = run_cli(capsys, "alg-index", SURFACE, "--oracle", "--degree-cap", "3")
+    assert code == 0
+    oracle = json.loads(out)["provenance"]["oracle"]
+    assert oracle == {"agrees": True, "degree_cap": 3, "stabilized": True, "value": 5}
+    path = write_manifest(tmp_path, {"variables": ["x", "y"], "ideal": ["x", "y"]})
+    code, out, _ = run_cli(capsys, "colength", path, "--oracle", "--degree-cap", "2")
+    assert code == 0
+    oracle = json.loads(out)["provenance"]["oracle"]
+    assert oracle == {"agrees": True, "degree_cap": 2, "stabilized": True, "value": 1}
+
+
 def test_report_round_trip_is_byte_stable(tmp_path, capsys):
     out1 = str(tmp_path / "report1.json")
     out2 = str(tmp_path / "report2.json")
@@ -179,6 +199,17 @@ def test_unknown_variable_in_entry_names_field(tmp_path, capsys):
     code, _, err = run_cli(capsys, "check", path)
     assert code == 1
     assert "matrix" in err and "q" in err
+
+
+def test_deeply_nested_entry_names_field(tmp_path, capsys):
+    path = write_manifest(tmp_path, {
+        "variables": ["x", "y"],
+        "ideal": ["(" * 3000 + "x" + ")" * 3000, "y"],
+    })
+    code, out, err = run_cli(capsys, "colength", path)
+    assert code == 1
+    assert out == ""
+    assert "ideal" in err and "nested too deeply" in err
 
 
 def test_missing_form_names_field(capsys, tmp_path):

@@ -194,6 +194,23 @@ def test_omega_quotient_surface_oracle_confirmed(surface, du):
     assert report.stabilized and report.value == 6
 
 
+# -- the benchmark germs (values certified by the truncation oracle) -----------------
+
+def test_benchmark_threefold_indices():
+    ring = RingContext(("x", "y", "z", "u", "v"))
+    rows = [["x", "y", "z"], ["u", "v", "x+y^2"]]
+    threefold = DetSingularity.create(ring, [[P(e, ring) for e in row] for row in rows], 2)
+    form = OneForm.differential(P("v + u^2 + z^3", ring))
+    assert algebra_index(threefold, form) == 8
+    assert omega_quotient_dim(threefold, form) == 8
+
+
+def test_benchmark_surface_quartic_form_indices(surface, ring_xyzu):
+    form = OneForm.differential(P("x^4 + y^4 + z^4 + u^4 + x*y*z", ring_xyzu))
+    assert algebra_index(surface, form) == 30
+    assert omega_quotient_dim(surface, form) == 32
+
+
 def test_omega_quotient_smooth_curve(ring_xy):
     sing = DetSingularity.create(ring_xy, [[P("x", ring_xy)]], 1)
     form = OneForm([P("0", ring_xy), P("y", ring_xy)])

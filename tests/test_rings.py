@@ -61,6 +61,13 @@ def test_parse_rejects_trailing_garbage(ring_xy):
         P("x y", ring_xy)
 
 
+def test_parse_deep_nesting_is_a_parse_error(ring_xy):
+    assert P("(" * 100 + "x" + ")" * 100, ring_xy) == P("x", ring_xy)
+    with pytest.raises(PolyParseError, match="nested too deeply") as err:
+        P("(" * 3000 + "x" + ")" * 3000, ring_xy)
+    assert err.value.position == 100
+
+
 def test_render_parse_round_trip_specific(ring_xyzu):
     for src in ("0", "1", "-1", "y + u", "x^2 - y^2", "1/2*x*y - 3*z^4 + 7",
                 "x*y*z*u", "-x + 1/3"):

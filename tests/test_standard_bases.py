@@ -1,5 +1,6 @@
 import math
 import random
+from fractions import Fraction
 from itertools import combinations_with_replacement
 
 import pytest
@@ -230,6 +231,46 @@ def test_module_standard_basis_membership(ring_xy):
     assert basis
     for el in basis:
         assert el.rank == 2
+
+
+# -- coefficients at the API --------------------------------------------------------
+
+def _all_fractions(polys):
+    return all(type(c) is Fraction for p in polys for c in p.terms.values())
+
+
+def test_results_have_fraction_coefficients(ring_xyz):
+    # monic elements whose leading coefficient is already 1 included
+    sb = standard_basis(ideal(ring_xyz, "x^2", "y^3 - x*y", "z"))
+    assert _all_fractions(sb.elements)
+    rng = random.Random(91)
+    zero = ring_xyz.zero_poly()
+    for _ in range(15):
+        gens = [p for p in (random_poly(ring_xyz, rng, allow_constant=False) for _ in range(3)) if p]
+        if not gens:
+            continue
+        assert _all_fractions(standard_basis(Ideal(gens)).elements)
+        f = random_poly(ring_xyz, rng)
+        assert _all_fractions([normal_form(f, gens)])
+        module = [FreeModuleElement(2, [g, zero if i % 2 else g * g]) for i, g in enumerate(gens)]
+        for el in module_standard_basis(2, module):
+            assert _all_fractions(el.components)
+
+
+def test_denominators_do_not_change_the_basis(ring_xyz):
+    rational = ideal(ring_xyz, "1/2*x + 1/3*y", "1/5*y^2 - 3/7*x*z", "2/9*z^3")
+    integral = ideal(ring_xyz, "3*x + 2*y", "7*y^2 - 15*x*z", "z^3")
+    assert standard_basis(rational) == standard_basis(integral)
+    f = P("x^2 + 1/4*y*z - z^2", ring_xyz)
+    assert normal_form(f, rational.generators) == normal_form(f, integral.generators)
+    zero = ring_xyz.zero_poly()
+
+    def as_module(gens):
+        return [FreeModuleElement(2, [g, zero]) for g in gens] + [
+            FreeModuleElement(2, [gens[0] * gens[1], gens[2]])]
+
+    assert (module_standard_basis(2, as_module(rational.generators))
+            == module_standard_basis(2, as_module(integral.generators)))
 
 
 def test_mixed_rank_generators_rejected(ring_xy):

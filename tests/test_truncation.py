@@ -126,3 +126,24 @@ def test_oracle_matches_engine_on_mixed_corpus(ring_xy, ring_xyz):
 def test_degree_cap_validation(ring_xy):
     with pytest.raises(ValueError):
         truncated_colength_oracle(Ideal([P("x", ring_xy)]), 0)
+
+
+def test_ceiling_below_start_cap_is_evaluated(ring_xy):
+    I = Ideal([P("x", ring_xy), P("y", ring_xy)])
+    report = stabilized_colength(I, ceiling=2)
+    assert report.per_degree == ((1, 1), (2, 1))
+    assert report.stabilized and report.value == 1 and report.degree_cap == 2
+    J = Ideal([P("x", ring_xy), P("y^2", ring_xy)])
+    report = stabilized_colength(J, ceiling=3)
+    assert report.per_degree == ((2, 2), (3, 2))
+    assert report.stabilized and report.value == 2
+    report = stabilized_colength(J, ceiling=2)
+    assert report.per_degree == ((1, 1), (2, 2))
+    assert not report.stabilized and report.degree_cap == 2
+
+
+def test_ceiling_below_two_is_rejected(ring_xy):
+    I = Ideal([P("x", ring_xy), P("y", ring_xy)])
+    for ceiling in (0, 1):
+        with pytest.raises(ValueError, match="ceiling"):
+            stabilized_colength(I, ceiling=ceiling)
