@@ -5,19 +5,32 @@ algebra: the rows are all monomial multiples of the generators truncated
 below degree D, the columns are the monomials of degree < D, and the
 dimension is columns minus rank.  No standard basis machinery is used.
 
+The columns are numbered degree first, and each row is reduced at its
+smallest column, so every pivot row has no term below its pivot's
+degree.  The rows for a smaller cap d are the cap-D rows cut to degree
+< d, whose rank is the number of pivots of degree < d: one elimination
+at cap D gives dim O/(I + m^d) for every d <= D (the Hilbert-Samuel
+function of the quotient).
+
 Because the associated graded module of a quotient is generated in
 degree zero, two equal consecutive values dim at caps D-1 and D certify
 that the quotient is finite-dimensional and that the shared value is the
-exact colength, so stabilization is a proof, not a heuristic.
+exact colength, so stabilization is a proof, not a heuristic.  The
+driver doubles the cap each round, one elimination per round, and runs
+its last round at the ceiling itself.
 
-The linear algebra runs over the rationals on the generators as given,
-with no division, écart or homogenization step, so the oracle shares no
-failure mode with the standard-basis engine.
+The linear algebra runs on integer rows (denominators cleared once per
+generator, primitive pivot rows, fraction-free cross-multiplication) on
+the generators as given, with no division, écart or homogenization
+step, so the oracle shares no failure mode with the standard-basis
+engine.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import accumulate
+from math import gcd, lcm
 from typing import List, Sequence, Tuple
 
 from .rings import mono_degree, mono_mul, monomials_up_to
@@ -43,108 +56,118 @@ class TruncationReport:
         return engine_value is INFINITE
 
 
-def _rows_for_cap(rank: int, gens, nvars: int, cap: int):
-    rows = []
-    for gen in gens:
-        terms = [((comp, m), c) for (comp, m), c in gen]
-        if not terms:
-            continue
-        mindeg = min(mono_degree(m) for (_, m), _ in terms)
-        for mult in monomials_up_to(nvars, cap - 1 - mindeg):
-            row = {}
-            for (comp, m), c in terms:
-                mm = mono_mul(m, mult)
-                if mono_degree(mm) < cap:
-                    row[(comp, mm)] = c
-            if row:
-                rows.append(row)
-    return rows
+def _hilbert_samuel(rank: int, gen_terms, nvars: int, cap: int) -> List[int]:
+    """dims[d] = dim of (O/m^d)^rank modulo the generators, for every d <= cap.
 
+    One integer elimination at cap: the pivots of degree < d are the rank
+    of the cap-d rows, which are the cap rows cut to degree < d.
+    """
+    monos = list(monomials_up_to(nvars, cap - 1))
+    keys = sorted((mono_degree(m), comp, m[::-1]) for comp in range(rank) for m in monos)
+    column = {(comp, rev[::-1]): col for col, (_, comp, rev) in enumerate(keys)}
 
-def _quotient_dim(rank: int, gens, nvars: int, cap: int) -> int:
-    """dim of (O/m^cap)^rank modulo the truncated generator multiples."""
-    total = rank * sum(1 for _ in monomials_up_to(nvars, cap - 1))
-    colkey = {}
-    for comp in range(rank):
-        for m in monomials_up_to(nvars, cap - 1):
-            colkey[(comp, m)] = (comp, mono_degree(m), m[::-1])
     pivots = {}
-    matrix_rank = 0
-    for row in _rows_for_cap(rank, gens, nvars, cap):
-        row = dict(row)
-        while row:
-            pivot = min(row, key=colkey.get)
-            if pivot not in pivots:
-                pc = row[pivot]
-                pivots[pivot] = {k: c / pc for k, c in row.items()}
-                matrix_rank += 1
-                break
-            factor = row[pivot]
-            for k, c in pivots[pivot].items():
-                if k in row:
-                    s = row[k] - factor * c
+    for gen in gen_terms:
+        terms = [(comp, m, mono_degree(m), c) for (comp, m), c in gen]
+        mindeg = min(deg for _, _, deg, _ in terms)
+        for mult in monomials_up_to(nvars, cap - 1 - mindeg):
+            room = cap - mono_degree(mult)
+            row = {column[comp, mono_mul(m, mult)]: c for comp, m, deg, c in terms if deg < room}
+            while row:
+                pivot = min(row)
+                prow = pivots.get(pivot)
+                if prow is None:
+                    content = gcd(*row.values())
+                    if row[pivot] < 0:
+                        content = -content
+                    pivots[pivot] = {k: c // content for k, c in row.items()}
+                    break
+                g = gcd(row[pivot], prow[pivot])
+                a, b = prow[pivot] // g, row[pivot] // g
+                if a != 1:
+                    row = {k: a * c for k, c in row.items()}
+                for k, c in prow.items():
+                    s = row.get(k, 0) - b * c
                     if s:
                         row[k] = s
                     else:
                         del row[k]
-                else:
-                    row[k] = -factor * c
-        # fully reduced to zero: dependent row, nothing to record
-    return total - matrix_rank
+            # fully reduced to zero: dependent row, nothing to record
+
+    free = [0] * cap  # free[e]: columns minus pivots of degree e
+    for deg, _, _ in keys:
+        free[deg] += 1
+    for col in pivots:
+        free[keys[col][0]] -= 1
+    return list(accumulate(free, initial=0))
+
+
+def _integer_terms(terms):
+    """The terms times the lcm of their denominators, as Python ints."""
+    scale = lcm(*(c.denominator for _, c in terms))
+    return tuple((key, c.numerator * (scale // c.denominator)) for key, c in terms)
 
 
 def _gen_terms_from_ideal(ideal: Ideal):
-    return [tuple(((0, m), c) for m, c in g.terms.items()) for g in ideal.generators]
+    return [
+        _integer_terms([((0, m), c) for m, c in g.terms.items()])
+        for g in ideal.generators
+        if g.terms
+    ]
 
 
-def _gen_terms_from_module(gens: Sequence[FreeModuleElement]):
+def _gen_terms_from_module(rank: int, gens: Sequence[FreeModuleElement]):
+    if rank < 1:
+        raise ValueError("rank must be positive")
+    if not gens:
+        raise ValueError("need at least one module generator")
     out = []
     for gen in gens:
+        if gen.rank != rank:
+            raise ValueError("module generators of mixed rank")
         terms = []
         for comp, poly in enumerate(gen.components):
             terms.extend(((comp, m), c) for m, c in poly.terms.items())
-        out.append(tuple(terms))
+        if terms:
+            out.append(_integer_terms(terms))
     return out
 
 
 def _report(rank: int, gen_terms, nvars: int, degree_cap: int) -> TruncationReport:
     if degree_cap < 1:
         raise ValueError("degree cap must be at least 1")
-    dims = [(cap, _quotient_dim(rank, gen_terms, nvars, cap)) for cap in range(1, degree_cap + 1)]
-    value = dims[-1][1]
-    stabilized = len(dims) >= 2 and dims[-2][1] == value
-    return TruncationReport(degree_cap, tuple(dims), stabilized, value)
+    dims = _hilbert_samuel(rank, gen_terms, nvars, degree_cap)
+    value = dims[degree_cap]
+    stabilized = degree_cap >= 2 and dims[degree_cap - 1] == value
+    return TruncationReport(degree_cap, tuple(enumerate(dims))[1:], stabilized, value)
 
 
 def truncated_colength_oracle(ideal: Ideal, degree_cap: int) -> TruncationReport:
-    """Exact dim O/(I + m^degree_cap) for every cap up to degree_cap."""
+    """Exact dim O/(I + m^d) for every cap d up to degree_cap."""
     return _report(1, _gen_terms_from_ideal(ideal), ideal.ring.nvars, degree_cap)
 
 
 def truncated_module_colength(
     rank: int, gens: Sequence[FreeModuleElement], degree_cap: int
 ) -> TruncationReport:
-    if not gens:
-        raise ValueError("need at least one module generator")
-    nvars = gens[0].ring.nvars
-    return _report(rank, _gen_terms_from_module(gens), nvars, degree_cap)
+    gen_terms = _gen_terms_from_module(rank, gens)
+    return _report(rank, gen_terms, gens[0].ring.nvars, degree_cap)
 
 
 def _stabilize(rank: int, gen_terms, nvars: int, start: int, ceiling: int) -> TruncationReport:
     if ceiling < 2:
         raise ValueError("ceiling must be at least 2: stabilization compares two caps")
     cap = min(max(2, start), ceiling)
-    dims: List[Tuple[int, int]] = []
-    known = {}
-    while cap <= ceiling:
-        for c in (cap - 1, cap):
-            if c not in known:
-                known[c] = _quotient_dim(rank, gen_terms, nvars, c)
-                dims.append((c, known[c]))
-        if known[cap - 1] == known[cap]:
-            return TruncationReport(cap, tuple(dims), True, known[cap])
-        cap *= 2
-    return TruncationReport(min(cap, ceiling), tuple(dims), False, dims[-1][1])
+    per_degree: List[Tuple[int, int]] = []
+    while True:
+        dims = _hilbert_samuel(rank, gen_terms, nvars, cap)
+        seen = per_degree[-1][0] if per_degree else 0
+        per_degree.extend((c, dims[c]) for c in (cap - 1, cap) if c > seen)
+        if dims[cap - 1] == dims[cap]:
+            return TruncationReport(cap, tuple(per_degree), True, dims[cap])
+        if cap == ceiling:
+            return TruncationReport(cap, tuple(per_degree), False, dims[cap])
+        cap = min(2 * cap, ceiling)
 
 
 def stabilized_colength(
@@ -160,7 +183,5 @@ def stabilized_module_colength(
     start: int = ORACLE_START_CAP,
     ceiling: int = ORACLE_CEILING,
 ) -> TruncationReport:
-    if not gens:
-        raise ValueError("need at least one module generator")
-    nvars = gens[0].ring.nvars
-    return _stabilize(rank, _gen_terms_from_module(gens), nvars, start, ceiling)
+    gen_terms = _gen_terms_from_module(rank, gens)
+    return _stabilize(rank, gen_terms, gens[0].ring.nvars, start, ceiling)

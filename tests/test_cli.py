@@ -64,6 +64,19 @@ def test_oracle_degree_cap_below_start_is_evaluated(tmp_path, capsys):
     assert oracle == {"agrees": True, "degree_cap": 2, "stabilized": True, "value": 1}
 
 
+def test_oracle_tries_a_ceiling_off_the_doubling_schedule(tmp_path, capsys):
+    path = write_manifest(tmp_path, {"variables": ["x", "y"], "ideal": ["x^9", "y"]})
+    for cap in (10, 12):
+        code, out, _ = run_cli(capsys, "colength", path, "--oracle", "--degree-cap", str(cap))
+        assert code == 0
+        oracle = json.loads(out)["provenance"]["oracle"]
+        assert oracle == {"agrees": True, "degree_cap": cap, "stabilized": True, "value": 9}
+    code, out, _ = run_cli(capsys, "colength", path, "--oracle", "--degree-cap", "9")
+    assert code == 2
+    oracle = json.loads(out)["provenance"]["oracle"]
+    assert oracle == {"agrees": False, "degree_cap": 9, "stabilized": False, "value": None}
+
+
 def test_report_round_trip_is_byte_stable(tmp_path, capsys):
     out1 = str(tmp_path / "report1.json")
     out2 = str(tmp_path / "report2.json")

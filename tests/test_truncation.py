@@ -9,7 +9,10 @@ from detindex import (
     Ideal,
     RingContext,
     colength,
+    minors,
+    monomials_up_to,
     parse_poly,
+    standard_basis,
     stabilized_colength,
     stabilized_module_colength,
     truncated_colength_oracle,
@@ -42,9 +45,12 @@ def test_truncated_ideal_simple(ring_xy):
 
 
 def test_truncated_ideal_staircase(ring_xy):
-    report = truncated_colength_oracle(Ideal([P("x^2", ring_xy), P("y^3", ring_xy)]), 8)
+    I = Ideal([P("x^2", ring_xy), P("y^3", ring_xy)])
+    report = truncated_colength_oracle(I, 8)
     assert report.stabilized
     assert report.value == 6
+    report = truncated_colength_oracle(I, 5)
+    assert report.per_degree == ((1, 1), (2, 3), (3, 5), (4, 6), (5, 6))
 
 
 def test_per_degree_dimensions_monotone(ring_xy):
@@ -147,3 +153,79 @@ def test_ceiling_below_two_is_rejected(ring_xy):
     for ceiling in (0, 1):
         with pytest.raises(ValueError, match="ceiling"):
             stabilized_colength(I, ceiling=ceiling)
+
+
+def test_ceiling_off_the_doubling_schedule_is_tried(ring_xy):
+    I = Ideal([P("x^9", ring_xy), P("y", ring_xy)])
+    report = stabilized_colength(I, ceiling=10)
+    assert report.per_degree == ((3, 3), (4, 4), (7, 7), (8, 8), (9, 9), (10, 9))
+    assert report.stabilized and report.value == 9 and report.degree_cap == 10
+    report = stabilized_colength(I, ceiling=12)
+    assert [cap for cap, _ in report.per_degree] == [3, 4, 7, 8, 11, 12]
+    assert report.stabilized and report.value == 9 and report.degree_cap == 12
+    report = stabilized_colength(I, ceiling=9)
+    assert report.per_degree == ((3, 3), (4, 4), (7, 7), (8, 8), (9, 9))
+    assert not report.stabilized and report.degree_cap == 9
+
+
+def test_ceilings_on_the_doubling_schedule_keep_it(ring_xy):
+    I = Ideal([P("x*y", ring_xy)])
+    for ceiling, caps in ((8, [3, 4, 7, 8]), (64, [3, 4, 7, 8, 15, 16, 31, 32, 63, 64])):
+        report = stabilized_colength(I, ceiling=ceiling)
+        assert [cap for cap, _ in report.per_degree] == caps
+        assert report.per_degree[-1] == (ceiling, 2 * ceiling - 1)
+        assert not report.stabilized and report.degree_cap == ceiling
+
+
+def test_module_oracle_checks_rank(ring_xy):
+    x, y = ring_xy.variable("x"), ring_xy.variable("y")
+    gens = [FreeModuleElement(2, [x, y])]
+    for oracle in (stabilized_module_colength, lambda r, g: truncated_module_colength(r, g, 4)):
+        for rank in (1, 3):
+            with pytest.raises(ValueError, match="module generators of mixed rank"):
+                oracle(rank, gens)
+        with pytest.raises(ValueError, match="rank must be positive"):
+            oracle(0, gens)
+
+
+def _staircase_per_degree(ideal, cap):
+    """(d, #standard monomials of degree < d) from the engine's staircase."""
+    leads = standard_basis(ideal).staircase
+    standard = [
+        sum(m)
+        for m in monomials_up_to(ideal.ring.nvars, cap - 1)
+        if not any(all(a <= b for a, b in zip(lead, m)) for lead in leads)
+    ]
+    return tuple((d, sum(1 for deg in standard if deg < d)) for d in range(1, cap + 1))
+
+
+def test_oracle_matches_engine_degree_by_degree(ring_xy, ring_xyz, ring_xyzu):
+    surface = [[P(e, ring_xyzu) for e in row] for row in (("z", "y+u", "x"), ("u", "x", "y"))]
+    corpus = [
+        (Ideal([P("x^2 - y^3", ring_xy)]), 8),
+        (Ideal([P("x^2 + y^5", ring_xy), P("x*y", ring_xy)]), 8),
+        (Ideal([P("x^2 + y^2 + z^2", ring_xyz), P("x*y - z^3", ring_xyz), P("y*z", ring_xyz)]), 7),
+        (Ideal(minors(surface, 2) + [P("x + y + z + u^3", ring_xyzu)]), 6),
+        (Ideal([P("(x + 2*y - 3*z)^3", ring_xyz)] + [P(v + "^3", ring_xyz) for v in "xyz"]), 8),
+    ]
+    for ideal, cap in corpus:
+        report = truncated_colength_oracle(ideal, cap)
+        assert report.per_degree == _staircase_per_degree(ideal, cap)
+
+
+def test_denominators_do_not_change_per_degree(ring_xy):
+    # 6 * (x/2 + y/3) = 3x + 2y: dropping the denominators would give m
+    rational = Ideal([P("1/2*x + 1/3*y", ring_xy), P("3*x + 2*y", ring_xy), P("y^2", ring_xy)])
+    integer = Ideal([P("3*x + 2*y", ring_xy), P("3*x + 2*y", ring_xy), P("7*y^2", ring_xy)])
+    report = truncated_colength_oracle(rational, 6)
+    assert report == truncated_colength_oracle(integer, 6)
+    assert report.per_degree[-1] == (6, 2)
+    gens = [
+        FreeModuleElement(2, [P("1/2*x", ring_xy), P("-2/3*y", ring_xy)]),
+        FreeModuleElement(2, [P("y", ring_xy), P("x", ring_xy)]),
+    ]
+    scaled = [
+        FreeModuleElement(2, [P("3*x", ring_xy), P("-4*y", ring_xy)]),
+        FreeModuleElement(2, [P("y", ring_xy), P("x", ring_xy)]),
+    ]
+    assert truncated_module_colength(2, gens, 6) == truncated_module_colength(2, scaled, 6)
