@@ -208,6 +208,8 @@ class ManifestData:
         ambient = self.raw.get("N", self.ring.nvars if self.ring else None)
         if not isinstance(ambient, int) or isinstance(ambient, bool):
             raise ManifestError("N", "required (integer) when no matrix is given")
+        if ambient < 1:
+            raise ManifestError("N", "must be at least 1")
         return m, n, t, ambient
 
 

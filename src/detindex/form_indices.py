@@ -28,25 +28,16 @@ from .rings import Poly, RingContext
 from .standard_bases import FreeModuleElement, Ideal, colength, module_colength
 
 
-@dataclass(frozen=True)
-class AugmentedJacobian:
-    """Gradients of the defining polynomials with the form's row appended."""
-
-    rows: Tuple[Tuple[Poly, ...], ...]
-
-    @classmethod
-    def build(cls, defs: Sequence[Poly], form: OneForm) -> "AugmentedJacobian":
-        ring = form.ring
-        rows = []
-        for f in defs:
-            if f.ring != ring:
-                raise ValueError("defining polynomial from a different ring")
-            rows.append(tuple(f.partial_derivative(i) for i in range(ring.nvars)))
-        rows.append(tuple(form.coefficients))
-        return cls(tuple(rows))
-
-    def minors(self, size: int) -> List[Poly]:
-        return minors(self.rows, size)
+def _augmented_jacobian(defs: Sequence[Poly], form: OneForm) -> List[Tuple[Poly, ...]]:
+    """Rows: the gradients of the defining polynomials, then the form."""
+    ring = form.ring
+    rows = []
+    for f in defs:
+        if f.ring != ring:
+            raise ValueError("defining polynomial from a different ring")
+        rows.append(tuple(f.partial_derivative(i) for i in range(ring.nvars)))
+    rows.append(tuple(form.coefficients))
+    return rows
 
 
 def algebra_ideal(sing: DetSingularity, form: OneForm) -> Ideal:
@@ -54,8 +45,7 @@ def algebra_ideal(sing: DetSingularity, form: OneForm) -> Ideal:
     if form.ring != sing.ring:
         raise ValueError("form and singularity live in different rings")
     defs = sing.defining_minors()
-    aug = AugmentedJacobian.build(defs, form)
-    return Ideal(defs + aug.minors(sing.codim + 1))
+    return Ideal(defs + minors(_augmented_jacobian(defs, form), sing.codim + 1))
 
 
 def algebra_index(sing: DetSingularity, form: OneForm):
@@ -73,8 +63,7 @@ def icis_ideal(defs: Sequence[Poly], form: OneForm) -> Ideal:
         raise ValueError("need at least one defining equation")
     if k >= form.ring.nvars:
         raise ValueError("need fewer equations than variables")
-    aug = AugmentedJacobian.build(defs, form)
-    return Ideal(defs + aug.minors(k + 1))
+    return Ideal(defs + minors(_augmented_jacobian(defs, form), k + 1))
 
 
 def icis_index(defs: Sequence[Poly], form: OneForm):
@@ -92,8 +81,7 @@ def gmvs_ideal(sing: DetSingularity, form: OneForm) -> Ideal:
     if form.ring != sing.ring:
         raise ValueError("form and singularity live in different rings")
     defs = sing.defining_minors()
-    aug = AugmentedJacobian.build(defs, form)
-    return Ideal(defs + aug.minors(3))
+    return Ideal(defs + minors(_augmented_jacobian(defs, form), 3))
 
 
 def gmvs_index(sing: DetSingularity, form: OneForm):

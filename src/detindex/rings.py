@@ -159,11 +159,6 @@ class Poly:
             return 0
         return max(sum(m) for m in self.terms)
 
-    def min_degree(self) -> int:
-        if not self.terms:
-            return 0
-        return min(sum(m) for m in self.terms)
-
     def constant_term(self):
         return self.terms.get((0,) * self.ring.nvars, self.ring.coeff(0))
 
@@ -245,22 +240,6 @@ class Poly:
             base = base * base
             e >>= 1
         return result
-
-    def scale(self, coeff) -> "Poly":
-        if not coeff:
-            return Poly(self.ring, {})
-        return Poly(self.ring, {m: c * coeff for m, c in self.terms.items()})
-
-    def mul_term(self, coeff, mono: Monomial) -> "Poly":
-        if not coeff:
-            return Poly(self.ring, {})
-        return Poly(self.ring, {mono_mul(m, mono): c * coeff for m, c in self.terms.items()})
-
-    def monic(self) -> "Poly":
-        lead = self.leading()
-        if lead is None or lead[1] == 1:
-            return self
-        return self.scale(1 / lead[1])
 
     def partial_derivative(self, index: int) -> "Poly":
         if not 0 <= index < self.ring.nvars:

@@ -9,18 +9,23 @@ input, which plain division under an anti-graded order does not.
 
 Basis completion works on homogenized input: generators are made
 homogeneous with one extra variable, a plain Buchberger loop runs under
-the matched graded order (total degree first, then the local order on
-the original variables), and the result is dehomogenized.  Setting the
+the matched graded order, and the result is dehomogenized.  Setting the
 extra variable to 1 in such a basis yields a standard basis for the
-local order.  This route avoids the long écart-driven reduction chains
-of a direct Mora completion, whose exact rational coefficients blow up
-badly on dense input.  Critical pairs wait in a heap keyed, when the
-pair is created, by (lcm degree, component, lcm order key, i, j); leading
-terms of basis elements never change, so the key is fixed and pairs pop
-smallest-lcm-degree first.  Coprime leading terms are discarded in the
-ideal case (the product criterion is not sound for submodules of free
-modules and is skipped there), and the classical chain criterion prunes
-pairs dominated by an already-treated element.
+local order (Lazard's homogenization argument).  This route avoids the
+long écart-driven reduction chains of a direct Mora completion, whose
+exact rational coefficients blow up badly on dense input.
+
+One order key serves both phases.  Every engine monomial has a last slot
+for the extra variable, 0 outside homogenized Buchberger, and the key is
+(degree in the original variables, their reverse exponent tuple): the
+local order when the slot is 0, and the graded order on the terms of one
+homogeneous vector, which share their total degree.  Critical pairs wait
+in a heap keyed, when the pair is created, by (lcm degree, component,
+lcm order key, i, j); leading terms never change, so the key is fixed
+and pairs pop smallest-lcm-degree first.  Coprime leading terms are
+discarded in the ideal case (the product criterion is not sound for
+submodules of free modules and is skipped there), and the classical
+chain criterion prunes pairs dominated by an already-treated element.
 
 Coefficients are rationals (``Fraction``) at the public functions and
 Python ints inside the engine.  Denominators are cleared once on the way
@@ -157,7 +162,14 @@ class StandardBasis:
 
 # ---------------------------------------------------------------------------
 # internal vector representation: dict[(component, exponent tuple)] -> int
-# (Fraction only in the monic vectors _minimalize returns)
+# (Fraction only in the monic vectors _minimalize returns).  Exponent
+# tuples carry one extra last slot for the homogenizing variable.
+
+def _order_key(mono: Monomial):
+    """The engine's one term order (see module docstring); smaller key
+    means greater monomial."""
+    return (sum(mono) - mono[-1], mono[-2::-1])
+
 
 class _Vec:
     __slots__ = ("terms", "_lead", "_maxdeg")
@@ -170,10 +182,10 @@ class _Vec:
     def __bool__(self):
         return bool(self.terms)
 
-    def lead(self, okey):
+    def lead(self):
         # Greatest term: least (component, order key).
         if self._lead is None and self.terms:
-            key = min(self.terms, key=lambda cm: (cm[0], okey(cm[1])))
+            key = min(self.terms, key=lambda cm: (cm[0], _order_key(cm[1])))
             self._lead = (key, self.terms[key])
         return self._lead
 
@@ -182,10 +194,10 @@ class _Vec:
             self._maxdeg = max(sum(m) for _, m in self.terms) if self.terms else 0
         return self._maxdeg
 
-    def ecart(self, okey):
+    def ecart(self):
         if not self.terms:
             return 0
-        return self.maxdeg() - sum(self.lead(okey)[0][1])
+        return self.maxdeg() - sum(self.lead()[0][1])
 
 
 def _vec_from_components(components: Sequence[Poly]) -> _Vec:
@@ -196,25 +208,26 @@ def _vec_from_components(components: Sequence[Poly]) -> _Vec:
     terms = {}
     for comp, poly in enumerate(components):
         for m, c in poly.terms.items():
-            terms[(comp, m)] = c.numerator * (den // c.denominator)
+            terms[(comp, m + (0,))] = c.numerator * (den // c.denominator)
     return _Vec(terms)
 
 
-def _vec_to_element(vec: _Vec, rank: int, ring: RingContext) -> FreeModuleElement:
+def _components(vec: _Vec, rank: int, ring: RingContext) -> List[Poly]:
+    """The rank rational component polynomials of vec, slot dropped."""
     buckets: List[dict] = [dict() for _ in range(rank)]
     for (comp, m), c in vec.terms.items():
-        buckets[comp][m] = c
-    return FreeModuleElement(rank, [Poly(ring, b) for b in buckets])
+        buckets[comp][m[:-1]] = Fraction(c)
+    return [Poly(ring, b) for b in buckets]
 
 
-def _vec_primitive(v: _Vec, okey) -> _Vec:
+def _vec_primitive(v: _Vec) -> _Vec:
     """Divide an integer vector by its content, signed so that the leading
     coefficient is positive: the canonical representative of v up to a
     nonzero scalar (keeps coefficient growth in check during long
     reduction chains)."""
     if not v.terms:
         return v
-    lead_key, lead_coeff = v.lead(okey)
+    lead_key, lead_coeff = v.lead()
     content = gcd(*v.terms.values())
     if lead_coeff < 0:
         content = -content
@@ -226,23 +239,21 @@ def _vec_primitive(v: _Vec, okey) -> _Vec:
     return out
 
 
-def _cofactors(a: int, b: int) -> Tuple[int, int]:
-    """a and b divided by their (positive) gcd."""
-    d = gcd(a, b)
-    return a // d, b // d
-
-
-def _reduce_step(h: _Vec, g: _Vec, okey) -> _Vec:
-    """Cancel the lead of h against g: gc * h - hc * x^shift * g (with
-    gc, hc divided by their gcd), followed by content normalization."""
-    (hcomp, hmono), hc = h.lead(okey)
-    (gcomp, gmono), gc = g.lead(okey)
-    gc, hc = _cofactors(gc, hc)
-    shift = mono_div(hmono, gmono)
-    out = {k: c * gc for k, c in h.terms.items()}
+def _cancel(f: _Vec, fshift, g: _Vec, gshift: Monomial) -> _Vec:
+    """gc * x^fshift * f - fc * x^gshift * g, made primitive, where fc and
+    gc are the lead coefficients of f and g divided by their gcd.  A None
+    fshift leaves f unmultiplied."""
+    fc = f.lead()[1]
+    gc = g.lead()[1]
+    d = gcd(fc, gc)
+    fc, gc = fc // d, gc // d
+    if fshift is None:
+        out = {k: c * gc for k, c in f.terms.items()}
+    else:
+        out = {(comp, mono_mul(m, fshift)): c * gc for (comp, m), c in f.terms.items()}
     for (comp, m), c in g.terms.items():
-        key = (comp, mono_mul(m, shift))
-        delta = c * hc
+        key = (comp, mono_mul(m, gshift))
+        delta = c * fc
         if key in out:
             s = out[key] - delta
             if s:
@@ -251,104 +262,90 @@ def _reduce_step(h: _Vec, g: _Vec, okey) -> _Vec:
                 del out[key]
         else:
             out[key] = -delta
-    return _vec_primitive(_Vec(out), okey)
+    return _vec_primitive(_Vec(out))
 
 
-def _mora_normal_form(f: _Vec, reducers: Sequence[_Vec], okey) -> _Vec:
+def _reduce_step(h: _Vec, g: _Vec) -> _Vec:
+    """Cancel the lead of h against g."""
+    return _cancel(h, None, g, mono_div(h.lead()[0][1], g.lead()[0][1]))
+
+
+def _spair(gi: _Vec, gj: _Vec) -> _Vec:
+    mi = gi.lead()[0][1]
+    mj = gj.lead()[0][1]
+    lcm_ij = mono_lcm(mi, mj)
+    return _cancel(gi, mono_div(lcm_ij, mi), gj, mono_div(lcm_ij, mj))
+
+
+def _mora_normal_form(f: _Vec, reducers: Sequence[_Vec]) -> _Vec:
     """Weak normal form: u*f = sum q_i g_i + r for a unit u of the local
     ring (the remainder is returned up to a nonzero constant factor)."""
     T = list(reducers)
     h = f
     while h:
-        (hcomp, hmono), hc = h.lead(okey)
+        (hcomp, hmono), hc = h.lead()
         best = None
         best_key = None
         for idx, g in enumerate(T):
-            glead = g.lead(okey)
-            (gcomp, gmono), _ = glead
+            (gcomp, gmono), _ = g.lead()
             if gcomp != hcomp or not mono_divides(gmono, hmono):
                 continue
             # least écart first; ties go to the smaller leading monomial
             # (the larger order key), then first found.
-            gk = okey(gmono)
-            key = (g.ecart(okey), -gk[0], tuple(-x for x in gk[1]), idx)
+            gk = _order_key(gmono)
+            key = (g.ecart(), -gk[0], tuple(-x for x in gk[1]), idx)
             if best is None or key < best_key:
                 best, best_key = g, key
         if best is None:
             return h
-        if best.ecart(okey) > h.ecart(okey):
+        if best.ecart() > h.ecart():
             T.append(h)
-        h = _reduce_step(h, best, okey)
+        h = _reduce_step(h, best)
     return h
-
-
-def _spair(gi: _Vec, gj: _Vec, okey) -> _Vec:
-    (comp, mi), ci = gi.lead(okey)
-    (_, mj), cj = gj.lead(okey)
-    ci, cj = _cofactors(ci, cj)
-    lcm_ij = mono_lcm(mi, mj)
-    si = mono_div(lcm_ij, mi)
-    out = {(c, mono_mul(m, si)): coeff * cj for (c, m), coeff in gi.terms.items()}
-    sj = mono_div(lcm_ij, mj)
-    for (c, m), coeff in gj.terms.items():
-        key = (c, mono_mul(m, sj))
-        delta = coeff * ci
-        if key in out:
-            s = out[key] - delta
-            if s:
-                out[key] = s
-            else:
-                del out[key]
-        else:
-            out[key] = -delta
-    return _vec_primitive(_Vec(out), okey)
-
-
-def _hom_sort_key(mono: Monomial):
-    """Graded order on homogenized monomials (extra variable in the last
-    slot): higher total degree is greater; ties follow the local order on
-    the original variables.  Smaller key means greater monomial."""
-    return (-sum(mono), sum(mono[:-1]), mono[-2::-1])
 
 
 def _homogenize(v: _Vec) -> _Vec:
     degree = v.maxdeg()
-    return _Vec({(c, m + (degree - sum(m),)): coeff for (c, m), coeff in v.terms.items()})
+    return _Vec({(c, m[:-1] + (degree - sum(m),)): coeff for (c, m), coeff in v.terms.items()})
 
 
 def _dehomogenize(v: _Vec) -> _Vec:
-    return _Vec({(c, m[:-1]): coeff for (c, m), coeff in v.terms.items()})
+    out = _Vec({(c, m[:-1] + (0,)): coeff for (c, m), coeff in v.terms.items()})
+    # The order key ignores the slot, so the lead is the same term.
+    (comp, mono), coeff = v.lead()
+    out._lead = ((comp, mono[:-1] + (0,)), coeff)
+    return out
 
 
-def _global_normal_form(f: _Vec, reducers: Sequence[_Vec], okey) -> _Vec:
-    """Plain lead reduction under a well-ordering; terminates as is."""
+def _global_normal_form(f: _Vec, reducers: Sequence[_Vec]) -> _Vec:
+    """Plain lead reduction of a homogeneous vector; terminates as is."""
     h = f
     while h:
-        (hcomp, hmono), _ = h.lead(okey)
+        (hcomp, hmono), _ = h.lead()
         best = None
         best_key = None
         for idx, g in enumerate(reducers):
-            (gcomp, gmono), _ = g.lead(okey)
+            (gcomp, gmono), _ = g.lead()
             if gcomp != hcomp or not mono_divides(gmono, hmono):
                 continue
-            key = (len(g.terms), okey(gmono), idx)
+            key = (len(g.terms), -sum(gmono), _order_key(gmono), idx)
             if best is None or key < best_key:
                 best, best_key = g, key
         if best is None:
             return h
-        h = _reduce_step(h, best, okey)
+        h = _reduce_step(h, best)
     return h
 
 
-def _buchberger(gens: Sequence[_Vec], rank: int, okey) -> List[_Vec]:
-    """Buchberger completion under the given (well-)order key."""
+def _buchberger(gens: Sequence[_Vec], rank: int) -> List[_Vec]:
+    """Buchberger completion of homogeneous vectors."""
     G: List[_Vec] = []
     for g in gens:
         if g:
-            G.append(_vec_primitive(g, okey))
+            G.append(_vec_primitive(g))
 
     def lead_of(i):
-        return G[i].lead(okey)[0]
+        return G[i].lead()[0]
 
     # Heap entries are (lcm degree, component, order key of lcm, i, j, lcm).
     # The key is a total order and (i, j) is unique, so lcm is never
@@ -358,7 +355,7 @@ def _buchberger(gens: Sequence[_Vec], rank: int, okey) -> List[_Vec]:
     def push(i, j):
         (comp, mi) = lead_of(i)
         lcm_ij = mono_lcm(mi, lead_of(j)[1])
-        heapq.heappush(pairs, (sum(lcm_ij), comp, okey(lcm_ij), i, j, lcm_ij))
+        heapq.heappush(pairs, (sum(lcm_ij), comp, _order_key(lcm_ij), i, j, lcm_ij))
 
     for i in range(len(G)):
         for j in range(i + 1, len(G)):
@@ -387,7 +384,7 @@ def _buchberger(gens: Sequence[_Vec], rank: int, okey) -> List[_Vec]:
                 break
         if skip:
             continue
-        h = _global_normal_form(_spair(G[i], G[j], okey), G, okey)
+        h = _global_normal_form(_spair(G[i], G[j]), G)
         if not h:
             continue
         G.append(h)
@@ -399,28 +396,27 @@ def _buchberger(gens: Sequence[_Vec], rank: int, okey) -> List[_Vec]:
     return G
 
 
-def _complete_basis(gens: Sequence[_Vec], rank: int, okey) -> List[_Vec]:
+def _complete_basis(gens: Sequence[_Vec], rank: int) -> List[_Vec]:
     """Reduced standard basis via homogenization (see module docstring)."""
     hom = [_homogenize(v) for v in gens if v]
-    basis = _buchberger(hom, rank, _hom_sort_key)
-    return _minimalize([_dehomogenize(v) for v in basis], okey)
+    return _minimalize([_dehomogenize(v) for v in _buchberger(hom, rank)])
 
 
-def _absorb_unit_factor(v: _Vec, okey) -> _Vec:
+def _absorb_unit_factor(v: _Vec) -> _Vec:
     """Replace unit * leading term by the leading term alone.
 
     Sound exactly when every tail term sits in the lead component and is
     divisible by the leading monomial: then v = (1 + q) * lead with q a
     non-unit, so the ideal (module) generated is unchanged.
     """
-    (comp, mono), coeff = v.lead(okey)
+    (comp, mono), coeff = v.lead()
     for (c, m) in v.terms:
         if c != comp or not mono_divides(mono, m):
             return v
     return _Vec({(comp, mono): coeff})
 
 
-def _minimalize(G: List[_Vec], okey) -> List[_Vec]:
+def _minimalize(G: List[_Vec]) -> List[_Vec]:
     kept: List[_Vec] = []
     kept_leads: List[Tuple[int, Monomial]] = []
     # A divisor has smaller or equal degree, so scan low degree first
@@ -428,25 +424,25 @@ def _minimalize(G: List[_Vec], okey) -> List[_Vec]:
     by_degree = sorted(
         range(len(G)),
         key=lambda i: (
-            G[i].lead(okey)[0][0],
-            sum(G[i].lead(okey)[0][1]),
-            okey(G[i].lead(okey)[0][1]),
+            G[i].lead()[0][0],
+            sum(G[i].lead()[0][1]),
+            _order_key(G[i].lead()[0][1]),
         ),
     )
     for i in by_degree:
-        comp, mono = G[i].lead(okey)[0]
+        comp, mono = G[i].lead()[0]
         if any(c == comp and mono_divides(m, mono) for c, m in kept_leads):
             continue
-        kept.append(_absorb_unit_factor(G[i], okey))
+        kept.append(_absorb_unit_factor(G[i]))
         kept_leads.append((comp, mono))
-    kept.sort(key=lambda v: (v.lead(okey)[0][0], okey(v.lead(okey)[0][1])))
+    kept.sort(key=lambda v: (v.lead()[0][0], _order_key(v.lead()[0][1])))
     # canonical presentation: leading coefficient 1
-    return [_monic(v, okey) for v in kept]
+    return [_monic(v) for v in kept]
 
 
-def _monic(v: _Vec, okey) -> _Vec:
+def _monic(v: _Vec) -> _Vec:
     """Rational vector with leading coefficient 1."""
-    inv = Fraction(1, v.lead(okey)[1])
+    inv = Fraction(1, v.lead()[1])
     return _Vec({k: c * inv for k, c in v.terms.items()})
 
 
@@ -462,28 +458,26 @@ def normal_form(f: Poly, basis: Iterable[Poly]) -> Poly:
     """
     if isinstance(basis, StandardBasis):
         basis = basis.elements
-    reducers = [_vec_from_components([g]) for g in basis if g]
+    reducers = []
+    for g in basis:
+        if g.ring != f.ring:
+            raise ValueError("mixed ring contexts")
+        if g:
+            reducers.append(_vec_from_components([g]))
     start = _vec_from_components([f])
-    out = _mora_normal_form(start, reducers, LocalOrder.sort_key)
+    out = _mora_normal_form(start, reducers)
     if out is start:
         return f  # nothing to reduce: f itself, not a rescaled copy
-    terms = {m: Fraction(c) for (_, m), c in out.terms.items()}
-    return Poly(f.ring, terms)
+    return _components(out, 1, f.ring)[0]
 
 
 def standard_basis(ideal: Ideal) -> StandardBasis:
     """Reduced standard basis of the ideal in the local ring."""
     ring = ideal.ring
     gens = [_vec_from_components([g]) for g in ideal.generators]
-    basis = _complete_basis(gens, 1, LocalOrder.sort_key)
-    elements = []
-    staircase = []
-    for v in basis:
-        terms = {m: c for (_, m), c in v.terms.items()}
-        poly = Poly(ring, terms)
-        elements.append(poly)
-        staircase.append(poly.leading_monomial())
-    return StandardBasis(ring, LOCAL_ORDER, tuple(elements), tuple(staircase))
+    elements = tuple(_components(v, 1, ring)[0] for v in _complete_basis(gens, 1))
+    staircase = tuple(poly.leading_monomial() for poly in elements)
+    return StandardBasis(ring, LOCAL_ORDER, elements, staircase)
 
 
 def _staircase_count(lead_sets: Sequence[Sequence[Monomial]], nvars: int):
@@ -511,37 +505,33 @@ def colength(ideal: Ideal):
     return standard_basis(ideal).colength()
 
 
-def module_standard_basis(rank: int, gens: Sequence[FreeModuleElement]) -> List[FreeModuleElement]:
-    """Standard basis of a submodule of O^r under position-over-term order."""
-    for g in gens:
-        if g.rank != rank:
-            raise ValueError("module generators of mixed rank")
-    nonzero = [g for g in gens if not g.is_zero()]
-    if not nonzero:
-        return []
-    ring = nonzero[0].ring
-    vecs = [_vec_from_components(g.components) for g in nonzero]
-    basis = _complete_basis(vecs, rank, LocalOrder.sort_key)
-    return [_vec_to_element(v, rank, ring) for v in basis]
-
-
-def module_colength(rank: int, gens: Sequence[FreeModuleElement]):
-    """Dimension of O^rank / <gens>, or INFINITE."""
+def _module_basis(rank: int, gens: Sequence[FreeModuleElement]) -> List[_Vec]:
+    """Validated completion of a submodule of O^rank (empty when every
+    generator is zero)."""
     if rank < 1:
         raise ValueError("rank must be positive")
     for g in gens:
         if g.rank != rank:
             raise ValueError("module generators of mixed rank")
-    nonzero = [g for g in gens if not g.is_zero()]
-    if not nonzero:
+        if g.ring != gens[0].ring:
+            raise ValueError("mixed ring contexts in module generators")
+    vecs = [_vec_from_components(g.components) for g in gens if not g.is_zero()]
+    return _complete_basis(vecs, rank)
+
+
+def module_standard_basis(rank: int, gens: Sequence[FreeModuleElement]) -> List[FreeModuleElement]:
+    """Standard basis of a submodule of O^r under position-over-term order."""
+    basis = _module_basis(rank, gens)
+    return [FreeModuleElement(rank, _components(v, rank, gens[0].ring)) for v in basis]
+
+
+def module_colength(rank: int, gens: Sequence[FreeModuleElement]):
+    """Dimension of O^rank / <gens>, or INFINITE."""
+    basis = _module_basis(rank, gens)
+    if not basis:
         return INFINITE
-    ring = nonzero[0].ring
-    okey = LocalOrder.sort_key
-    basis = _complete_basis(
-        [_vec_from_components(g.components) for g in nonzero], rank, okey
-    )
     per_component: List[List[Monomial]] = [[] for _ in range(rank)]
     for v in basis:
-        (comp, mono) = v.lead(okey)[0]
-        per_component[comp].append(mono)
-    return _staircase_count(per_component, ring.nvars)
+        (comp, mono) = v.lead()[0]
+        per_component[comp].append(mono[:-1])
+    return _staircase_count(per_component, gens[0].ring.nvars)

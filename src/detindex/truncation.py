@@ -125,6 +125,8 @@ def _gen_terms_from_module(rank: int, gens: Sequence[FreeModuleElement]):
     for gen in gens:
         if gen.rank != rank:
             raise ValueError("module generators of mixed rank")
+        if gen.ring != gens[0].ring:
+            raise ValueError("mixed ring contexts in module generators")
         terms = []
         for comp, poly in enumerate(gen.components):
             terms.extend(((comp, m), c) for m, c in poly.terms.items())

@@ -192,6 +192,21 @@ def test_convert_command(tmp_path, capsys):
     assert result["isolated"]["phn_index"] == result["phn_index"]
 
 
+@pytest.mark.parametrize("command", ["convert", "tables"])
+@pytest.mark.parametrize("ambient", [0, -3])
+def test_ambient_dimension_below_one_names_field(tmp_path, capsys, command, ambient):
+    path = write_manifest(tmp_path, {
+        "type": [2, 3, 2],
+        "N": ambient,
+        "radial": [1, 3],
+        "chi": [1, 4],
+    })
+    code, out, err = run_cli(capsys, command, path)
+    assert code == 1
+    assert out == ""
+    assert "manifest field 'N'" in err
+
+
 def test_validation_error_names_field(tmp_path, capsys):
     path = write_manifest(tmp_path, {
         "variables": ["x", "y"],

@@ -7,6 +7,7 @@ import pytest
 
 from detindex import (
     INFINITE,
+    LOCAL_ORDER,
     FreeModuleElement,
     Ideal,
     Poly,
@@ -19,6 +20,8 @@ from detindex import (
     standard_basis,
     truncated_colength_oracle,
 )
+
+from detindex.standard_bases import _order_key
 
 from conftest import random_poly
 
@@ -63,6 +66,38 @@ def test_normal_form_leading_term_reduced(ring_xyz):
             for g in basis:
                 gm = g.leading_monomial()
                 assert not all(a <= b for a, b in zip(gm, lm))
+
+
+def test_normal_form_rejects_reducers_from_another_ring(ring_xy, ring_xyz):
+    # Cutting exponent tuples to the shorter ring reduced x*y by z to 0.
+    with pytest.raises(ValueError, match="mixed ring contexts"):
+        normal_form(P("x*y", ring_xy), [P("z", ring_xyz)])
+    with pytest.raises(ValueError, match="mixed ring contexts"):
+        normal_form(P("x", ring_xyz), [P("x", ring_xy)])
+
+
+# -- the engine's order key ------------------------------------------------------
+
+def test_order_key_is_the_local_order_with_the_slot_cleared():
+    rng = random.Random(5)
+    for nvars in (1, 2, 3, 4):
+        monos = [tuple(rng.randint(0, 4) for _ in range(nvars)) for _ in range(200)]
+        by_engine = sorted(monos, key=lambda m: _order_key(m + (0,)))
+        assert by_engine == sorted(monos, key=LOCAL_ORDER.sort_key)
+
+
+def test_order_key_is_the_local_order_within_one_total_degree():
+    rng = random.Random(6)
+    for nvars in (1, 2, 3, 4):
+        for degree in (0, 3, 7):
+            monos = []
+            for _ in range(100):
+                m = [0] * nvars
+                for _ in range(rng.randint(0, degree)):
+                    m[rng.randrange(nvars)] += 1
+                monos.append(tuple(m) + (degree - sum(m),))
+            by_engine = sorted(monos, key=_order_key)
+            assert by_engine == sorted(monos, key=lambda m: LOCAL_ORDER.sort_key(m[:-1]))
 
 
 # -- standard bases --------------------------------------------------------------
@@ -277,6 +312,20 @@ def test_mixed_rank_generators_rejected(ring_xy):
     x = ring_xy.variable("x")
     with pytest.raises(ValueError):
         module_colength(2, [FreeModuleElement(1, [x])])
+
+
+def test_module_generators_from_several_rings_rejected(ring_xy, ring_xyz):
+    # Was INFINITE: exponent tuples of both rings met in one engine.
+    gens = [FreeModuleElement(1, [P("x", ring_xy)]), FreeModuleElement(1, [P("z", ring_xyz)])]
+    for engine in (module_standard_basis, module_colength):
+        with pytest.raises(ValueError, match="mixed ring contexts"):
+            engine(1, gens)
+
+
+def test_module_rank_must_be_positive():
+    for engine in (module_standard_basis, module_colength):
+        with pytest.raises(ValueError, match="rank must be positive"):
+            engine(0, [])
 
 
 def test_ideal_validation(ring_xy, ring_xyz):

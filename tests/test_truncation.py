@@ -188,6 +188,13 @@ def test_module_oracle_checks_rank(ring_xy):
             oracle(0, gens)
 
 
+def test_module_oracle_checks_rings(ring_xy, ring_xyz):
+    gens = [FreeModuleElement(1, [P("x", ring_xy)]), FreeModuleElement(1, [P("z", ring_xyz)])]
+    for oracle in (stabilized_module_colength, lambda r, g: truncated_module_colength(r, g, 4)):
+        with pytest.raises(ValueError, match="mixed ring contexts"):
+            oracle(1, gens)
+
+
 def _staircase_per_degree(ideal, cap):
     """(d, #standard monomials of degree < d) from the engine's staircase."""
     leads = standard_basis(ideal).staircase
