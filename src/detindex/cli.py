@@ -157,6 +157,8 @@ class ManifestData:
             t = manifest["t"]
             if not isinstance(t, int) or isinstance(t, bool):
                 raise ManifestError("t", "must be an integer")
+            if not 1 <= t <= min(len(rows), width):
+                raise ManifestError("t", "need 1 <= t <= min(m, n) = %d" % min(len(rows), width))
             self.t = t
         if "form" in manifest:
             if self.ring is None:

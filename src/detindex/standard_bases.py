@@ -39,10 +39,14 @@ Both ideals in the ring and submodules of a free module O^r are handled
 by one engine; module terms are keyed by (component, exponent tuple)
 with position-over-term order, earlier components first.
 
-Colength queries read the staircase off the leading terms: the quotient
-is finite-dimensional exactly when every component sees a pure power of
-every variable among the leading terms, and the dimension is the number
-of standard monomials under the staircase.
+Colength queries count the standard monomials (those no leading
+monomial divides) from the leads alone, by slices in the exponent of
+the last variable.  Between two consecutive leading exponents the
+slices are equal, each counted recursively from the leads at or below
+the first with the last variable dropped (Bayer-Stillman's recursion on
+monomial ideals, pivoting on powers of the last variable).  The slices
+past the largest leading exponent never end, so the count is INFINITE
+when they are not empty.  A module sums its components.
 """
 
 from __future__ import annotations
@@ -51,7 +55,6 @@ import enum
 import heapq
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product as iter_product
 from math import gcd, lcm
 from typing import Iterable, List, Sequence, Tuple
 
@@ -157,7 +160,7 @@ class StandardBasis:
         return not self.normal_form(f)
 
     def colength(self):
-        return _staircase_count([self.staircase], self.ring.nvars)
+        return _staircase_count(self.staircase, self.ring.nvars)
 
 
 # ---------------------------------------------------------------------------
@@ -474,29 +477,27 @@ def normal_form(f: Poly, basis: Iterable[Poly]) -> Poly:
 def standard_basis(ideal: Ideal) -> StandardBasis:
     """Reduced standard basis of the ideal in the local ring."""
     ring = ideal.ring
-    gens = [_vec_from_components([g]) for g in ideal.generators]
-    elements = tuple(_components(v, 1, ring)[0] for v in _complete_basis(gens, 1))
-    staircase = tuple(poly.leading_monomial() for poly in elements)
+    basis = _complete_basis([_vec_from_components([g]) for g in ideal.generators], 1)
+    elements = tuple(_components(v, 1, ring)[0] for v in basis)
+    staircase = tuple(v.lead()[0][1][:-1] for v in basis)
     return StandardBasis(ring, LOCAL_ORDER, elements, staircase)
 
 
-def _staircase_count(lead_sets: Sequence[Sequence[Monomial]], nvars: int):
-    """Count monomials outside the staircase, per component, summed."""
+def _staircase_count(leads: Sequence[Monomial], nvars: int):
+    """Number of monomials in nvars variables that no lead divides, or
+    INFINITE (see module docstring)."""
+    if nvars == 0:
+        return 0 if leads else 1
+    last = nvars - 1
+    bounds = sorted({0, *(m[last] for m in leads)})
     total = 0
-    for leads in lead_sets:
-        caps = []
-        for i in range(nvars):
-            pure = [
-                m[i]
-                for m in leads
-                if all(e == 0 for k, e in enumerate(m) if k != i)
-            ]
-            if not pure:
-                return INFINITE
-            caps.append(min(pure))
-        for expt in iter_product(*(range(c) for c in caps)):
-            if not any(mono_divides(m, expt) for m in leads):
-                total += 1
+    for start, cut in zip(bounds, bounds[1:] + [None]):
+        count = _staircase_count([m[:last] for m in leads if m[last] <= start], last)
+        if count == 0:
+            return total  # every later slice has more leads, so is empty too
+        if count is INFINITE or cut is None:
+            return INFINITE
+        total += (cut - start) * count
     return total
 
 
@@ -534,4 +535,5 @@ def module_colength(rank: int, gens: Sequence[FreeModuleElement]):
     for v in basis:
         (comp, mono) = v.lead()[0]
         per_component[comp].append(mono[:-1])
-    return _staircase_count(per_component, gens[0].ring.nvars)
+    counts = [_staircase_count(leads, gens[0].ring.nvars) for leads in per_component]
+    return INFINITE if INFINITE in counts else sum(counts)

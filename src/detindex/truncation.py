@@ -19,11 +19,12 @@ exact colength, so stabilization is a proof, not a heuristic.  The
 driver doubles the cap each round, one elimination per round, and runs
 its last round at the ceiling itself.
 
-The linear algebra runs on integer rows (denominators cleared once per
-generator, primitive pivot rows, fraction-free cross-multiplication) on
-the generators as given, with no division, écart or homogenization
-step, so the oracle shares no failure mode with the standard-basis
-engine.
+An ideal is the rank-1 case: its generators and a module's go through
+one row builder.  The linear algebra runs on integer rows (denominators
+cleared once per generator, primitive pivot rows, fraction-free
+cross-multiplication) on the generators as given, with no division,
+écart or homogenization step, so the oracle shares no failure mode with
+the standard-basis engine.
 """
 
 from __future__ import annotations
@@ -102,37 +103,30 @@ def _hilbert_samuel(rank: int, gen_terms, nvars: int, cap: int) -> List[int]:
     return list(accumulate(free, initial=0))
 
 
-def _integer_terms(terms):
-    """The terms times the lcm of their denominators, as Python ints."""
-    scale = lcm(*(c.denominator for _, c in terms))
-    return tuple((key, c.numerator * (scale // c.denominator)) for key, c in terms)
+def _gen_terms(gens):
+    """Integer terms ((component, monomial), coefficient) of each nonzero
+    generator, given as its component polynomials: the terms times the
+    lcm of their denominators."""
+    out = []
+    for components in gens:
+        terms = [((comp, m), c) for comp, poly in enumerate(components) for m, c in poly.terms.items()]
+        if terms:
+            scale = lcm(*(c.denominator for _, c in terms))
+            out.append(tuple((key, c.numerator * (scale // c.denominator)) for key, c in terms))
+    return out
 
 
-def _gen_terms_from_ideal(ideal: Ideal):
-    return [
-        _integer_terms([((0, m), c) for m, c in g.terms.items()])
-        for g in ideal.generators
-        if g.terms
-    ]
-
-
-def _gen_terms_from_module(rank: int, gens: Sequence[FreeModuleElement]):
+def _module_gen_terms(rank: int, gens: Sequence[FreeModuleElement]):
     if rank < 1:
         raise ValueError("rank must be positive")
     if not gens:
         raise ValueError("need at least one module generator")
-    out = []
     for gen in gens:
         if gen.rank != rank:
             raise ValueError("module generators of mixed rank")
         if gen.ring != gens[0].ring:
             raise ValueError("mixed ring contexts in module generators")
-        terms = []
-        for comp, poly in enumerate(gen.components):
-            terms.extend(((comp, m), c) for m, c in poly.terms.items())
-        if terms:
-            out.append(_integer_terms(terms))
-    return out
+    return _gen_terms(gen.components for gen in gens)
 
 
 def _report(rank: int, gen_terms, nvars: int, degree_cap: int) -> TruncationReport:
@@ -146,14 +140,13 @@ def _report(rank: int, gen_terms, nvars: int, degree_cap: int) -> TruncationRepo
 
 def truncated_colength_oracle(ideal: Ideal, degree_cap: int) -> TruncationReport:
     """Exact dim O/(I + m^d) for every cap d up to degree_cap."""
-    return _report(1, _gen_terms_from_ideal(ideal), ideal.ring.nvars, degree_cap)
+    return _report(1, _gen_terms((g,) for g in ideal.generators), ideal.ring.nvars, degree_cap)
 
 
 def truncated_module_colength(
     rank: int, gens: Sequence[FreeModuleElement], degree_cap: int
 ) -> TruncationReport:
-    gen_terms = _gen_terms_from_module(rank, gens)
-    return _report(rank, gen_terms, gens[0].ring.nvars, degree_cap)
+    return _report(rank, _module_gen_terms(rank, gens), gens[0].ring.nvars, degree_cap)
 
 
 def _stabilize(rank: int, gen_terms, nvars: int, start: int, ceiling: int) -> TruncationReport:
@@ -176,7 +169,7 @@ def stabilized_colength(
     ideal: Ideal, start: int = ORACLE_START_CAP, ceiling: int = ORACLE_CEILING
 ) -> TruncationReport:
     """Doubling cap schedule; stabilized=False is an honest give-up."""
-    return _stabilize(1, _gen_terms_from_ideal(ideal), ideal.ring.nvars, start, ceiling)
+    return _stabilize(1, _gen_terms((g,) for g in ideal.generators), ideal.ring.nvars, start, ceiling)
 
 
 def stabilized_module_colength(
@@ -185,5 +178,4 @@ def stabilized_module_colength(
     start: int = ORACLE_START_CAP,
     ceiling: int = ORACLE_CEILING,
 ) -> TruncationReport:
-    gen_terms = _gen_terms_from_module(rank, gens)
-    return _stabilize(rank, gen_terms, gens[0].ring.nvars, start, ceiling)
+    return _stabilize(rank, _module_gen_terms(rank, gens), gens[0].ring.nvars, start, ceiling)

@@ -1,5 +1,7 @@
+import contextlib
 import math
 import random
+import signal
 
 import pytest
 
@@ -51,3 +53,19 @@ def chi_bar_sum(m, t):
     if not 1 <= t <= m:
         raise ValueError("need 1 <= t <= m")
     return -sum((-1) ** k * math.comb(m, k) for k in range(t))
+
+
+@contextlib.contextmanager
+def time_limit(seconds):
+    """Raise TimeoutError in the block once it has run for seconds, so a
+    regression fails instead of hanging the suite."""
+    def expire(signum, frame):
+        raise TimeoutError("still running after %d s" % seconds)
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)

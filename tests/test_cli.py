@@ -5,6 +5,8 @@ import pytest
 
 from detindex.cli import main
 
+from conftest import time_limit
+
 MANIFEST_DIR = os.path.join(os.path.dirname(__file__), os.pardir, "manifests")
 SURFACE = os.path.join(MANIFEST_DIR, "surface-232.json")
 
@@ -118,6 +120,17 @@ def test_colength_command_with_explicit_ideal(tmp_path, capsys):
     assert json.loads(out)["result"]["colength"] == 6
 
 
+def test_colength_command_on_a_sparse_staircase(tmp_path, capsys):
+    path = write_manifest(tmp_path, {
+        "variables": ["x", "y", "z"],
+        "ideal": ["x^2000", "y^2000", "z^2000", "x*y", "y*z", "x*z"],
+    })
+    with time_limit(2):
+        code, out, _ = run_cli(capsys, "colength", path)
+    assert code == 0
+    assert json.loads(out)["result"]["colength"] == 5998
+
+
 def test_colength_infinite_is_not_an_error(tmp_path, capsys):
     path = write_manifest(tmp_path, {
         "variables": ["x", "y"],
@@ -216,6 +229,17 @@ def test_validation_error_names_field(tmp_path, capsys):
     code, _, err = run_cli(capsys, "check", path)
     assert code == 1
     assert "matrix" in err
+
+
+@pytest.mark.parametrize("t", [0, 3])
+def test_rank_bound_out_of_range_names_t(tmp_path, capsys, t):
+    with open(SURFACE) as fh:
+        doc = json.load(fh)
+    doc["t"] = t  # the matrix is 2 x 3
+    code, out, err = run_cli(capsys, "alg-index", write_manifest(tmp_path, doc))
+    assert code == 1
+    assert out == ""
+    assert "manifest field 't'" in err
 
 
 def test_unknown_variable_in_entry_names_field(tmp_path, capsys):

@@ -1,7 +1,7 @@
 import math
 import random
 from fractions import Fraction
-from itertools import combinations_with_replacement
+from itertools import combinations_with_replacement, product
 
 import pytest
 
@@ -12,6 +12,7 @@ from detindex import (
     Ideal,
     Poly,
     RingContext,
+    StandardBasis,
     colength,
     module_colength,
     module_standard_basis,
@@ -23,7 +24,7 @@ from detindex import (
 
 from detindex.standard_bases import _order_key
 
-from conftest import random_poly
+from conftest import random_poly, time_limit
 
 
 def P(src, ring):
@@ -222,6 +223,68 @@ def test_colength_matches_oracle_on_corpus():
         assert colength(I) == report.value
 
 
+def sparse_staircase(ring, e):
+    """(x^e, y^e, z^e, xy, yz, xz): colength 3e - 2 under a box of e^3."""
+    return ideal(ring, "x^%d" % e, "y^%d" % e, "z^%d" % e, "x*y", "y*z", "x*z")
+
+
+@pytest.mark.parametrize("e, expected", [(100, 298), (200, 598), (2000, 5998)])
+def test_colength_is_not_bounded_by_the_staircase_box(ring_xyz, e, expected):
+    with time_limit(2):
+        assert colength(sparse_staircase(ring_xyz, e)) == expected
+
+
+def test_colength_of_a_huge_pure_power():
+    ring = RingContext(("x",))
+    with time_limit(2):
+        assert colength(ideal(ring, "x^99999999")) == 99999999
+
+
+def _brute_force_count(leads, nvars):
+    """Monomials under the box of the least pure powers that no lead
+    divides, or INFINITE when some variable has no pure power."""
+    caps = []
+    for i in range(nvars):
+        pure = [m[i] for m in leads if all(e == 0 for k, e in enumerate(m) if k != i)]
+        if not pure:
+            return INFINITE
+        caps.append(min(pure))
+    return sum(
+        1
+        for point in product(*(range(c) for c in caps))
+        if not any(all(a <= b for a, b in zip(m, point)) for m in leads)
+    )
+
+
+def _random_leads(rng, nvars):
+    leads = [tuple(rng.choice((0, 0, 1, 2, 3)) for _ in range(nvars)) for _ in range(rng.randint(0, 5))]
+    for i in range(nvars):
+        if rng.random() < 0.8:  # otherwise the pure power of variable i is missing
+            leads.append(tuple(rng.randint(1, 6) if k == i else 0 for k in range(nvars)))
+    if leads and rng.random() < 0.5:
+        lead = rng.choice(leads)
+        leads.append(lead)  # a duplicate
+        leads.append(tuple(e + rng.randint(0, 2) for e in lead))  # a non-minimal lead
+    rng.shuffle(leads)
+    return leads
+
+
+def test_staircase_count_matches_brute_force():
+    rng = random.Random(20260)
+    cases = []
+    for nvars in range(1, 5):
+        cases.append((nvars, []))  # the zero ideal
+        cases.append((nvars, [(0,) * nvars]))  # the unit ideal
+        cases.extend((nvars, _random_leads(rng, nvars)) for _ in range(150))
+    values = set()
+    for nvars, leads in cases:
+        ring = RingContext(tuple("abcd"[:nvars]))
+        value = StandardBasis(ring, LOCAL_ORDER, (), tuple(leads)).colength()
+        assert value == _brute_force_count(leads, nvars), (nvars, leads)
+        values.add(value)
+    assert INFINITE in values and 0 in values and len(values) > 20
+
+
 # -- modules -----------------------------------------------------------------------
 
 def test_module_rank_one_is_colength():
@@ -252,6 +315,19 @@ def test_module_rank_one_agrees_with_ideal_colength(ring_xyz):
             continue
         as_module = [FreeModuleElement(1, [g]) for g in gens]
         assert module_colength(1, as_module) == colength(Ideal(gens))
+
+
+def test_module_colength_sums_component_staircases(ring_xyz):
+    zero = ring_xyz.zero_poly()
+    first = [FreeModuleElement(2, [g, zero]) for g in sparse_staircase(ring_xyz, 100).generators]
+    second = [FreeModuleElement(2, [zero, g]) for g in sparse_staircase(ring_xyz, 2000).generators]
+    with time_limit(2):
+        assert module_colength(2, first + second) == 298 + 5998
+        assert module_colength(2, first) == INFINITE  # the second component is free
+
+
+def test_module_colength_without_generators_is_infinite():
+    assert module_colength(2, []) == INFINITE
 
 
 def test_module_standard_basis_membership(ring_xy):
