@@ -9,9 +9,10 @@ under the one local order, which the report's provenance names.
 Emitted reports embed the normalized manifest, so a report file can
 itself be fed back as input and reproduces its output.
 
-Exit codes: 0 success, 1 manifest or usage validation error (the message
-names the offending field), 2 a computation signalled an infinite value
-where a finite one was required, or the oracle disagreed with the engine.
+Exit codes: 0 success, 1 a manifest validation error (the message names
+the offending field) or a usage error (argparse's message), 2 a
+computation signalled an infinite value where a finite one was required,
+or the oracle disagreed with the engine.
 """
 
 from __future__ import annotations
@@ -36,6 +37,7 @@ from .determinantal import (
     OneForm,
     chi_singular_stratum,
     classify,
+    isolation_bound,
     minors,
 )
 from .form_indices import (
@@ -115,6 +117,21 @@ def _require_int_list(manifest: dict, field: str, length: Optional[int] = None) 
     return value
 
 
+def _parse_polys(field: str, entries: list, ring: RingContext, row: str = "") -> list:
+    """Parse a list of polynomial strings; an error names the field and
+    the entry, as `entry [i]` (or `entry [row][i]` in a matrix)."""
+    polys = []
+    for i, entry in enumerate(entries):
+        where = "entry %s[%d]" % (row, i)
+        if not isinstance(entry, str):
+            raise ManifestError(field, "%s must be a string" % where)
+        try:
+            polys.append(parse_poly(entry, ring))
+        except PolyParseError as exc:
+            raise ManifestError(field, "%s: %s" % (where, exc)) from None
+    return polys
+
+
 class ManifestData:
     """Validated manifest: ring plus whatever optional blocks are present."""
 
@@ -142,15 +159,7 @@ class ManifestData:
             for i, row in enumerate(rows):
                 if len(row) != width:
                     raise ManifestError("matrix", "row %d has length %d, expected %d" % (i, len(row), width))
-                prow = []
-                for j, entry in enumerate(row):
-                    if not isinstance(entry, str):
-                        raise ManifestError("matrix", "entry [%d][%d] must be a string" % (i, j))
-                    try:
-                        prow.append(parse_poly(entry, self.ring))
-                    except PolyParseError as exc:
-                        raise ManifestError("matrix", "entry [%d][%d]: %s" % (i, j, exc)) from None
-                parsed.append(prow)
+                parsed.append(_parse_polys("matrix", row, self.ring, "[%d]" % i))
             self.matrix = parsed
             if "t" not in manifest:
                 raise ManifestError("t", "required when a matrix is given")
@@ -166,24 +175,11 @@ class ManifestData:
             entries = _require_string_list(manifest, "form")
             if len(entries) != self.ring.nvars:
                 raise ManifestError("form", "must list one coefficient per variable")
-            coeffs = []
-            for i, entry in enumerate(entries):
-                try:
-                    coeffs.append(parse_poly(entry, self.ring))
-                except PolyParseError as exc:
-                    raise ManifestError("form", "entry [%d]: %s" % (i, exc)) from None
-            self.form = OneForm(coeffs)
+            self.form = OneForm(_parse_polys("form", entries, self.ring))
         if "ideal" in manifest:
             if self.ring is None:
                 raise ManifestError("variables", "required when an ideal is given")
-            entries = _require_string_list(manifest, "ideal")
-            gens = []
-            for i, entry in enumerate(entries):
-                try:
-                    gens.append(parse_poly(entry, self.ring))
-                except PolyParseError as exc:
-                    raise ManifestError("ideal", "entry [%d]: %s" % (i, exc)) from None
-            self.ideal = gens
+            self.ideal = _parse_polys("ideal", _require_string_list(manifest, "ideal"), self.ring)
 
     def singularity(self) -> DetSingularity:
         if self.matrix is None:
@@ -244,11 +240,17 @@ def _oracle_block(report, engine_value) -> dict:
     }
 
 
-def _colength_command(args, finite_required: bool, engine, oracle, *inputs):
-    """Shared plumbing for colength commands: the value is engine(*inputs);
-    with --oracle, oracle(*inputs) re-derives it and must agree."""
+def _colength_command(args, result_key: str, finite_required: bool, *inputs):
+    """Shared value path of the five colength commands.  The input is an
+    Ideal or a module's (rank, generators); it fixes the engine and the
+    oracle, which are looked up in this module when called.  With
+    --oracle, the oracle re-derives the value and must agree."""
     if args.oracle and args.degree_cap < 2:
         raise ManifestError("(--degree-cap)", "must be at least 2: the oracle compares two caps")
+    if isinstance(inputs[0], Ideal):
+        engine, oracle = colength, stabilized_colength
+    else:
+        engine, oracle = module_colength, stabilized_module_colength
     value = engine(*inputs)
     extras = {}
     exit_code = 2 if finite_required and value is INFINITE else 0
@@ -257,7 +259,7 @@ def _colength_command(args, finite_required: bool, engine, oracle, *inputs):
         extras["oracle"] = _oracle_block(rep, value)
         if not rep.agrees_with(value):
             exit_code = 2
-    return value, extras, exit_code
+    return {result_key: value}, extras, exit_code
 
 
 # ---------------------------------------------------------------------------
@@ -277,7 +279,7 @@ def _cmd_check(data: ManifestData, args):
         "stratum_dims": list(cls.stratum_dims),
         "sing_stratum_colength_finite": cls.sing_stratum_colength_finite,
     }
-    bound = (sing.m - sing.t + 2) * (sing.n - sing.t + 2)
+    bound = isolation_bound(sing.m, sing.n, sing.t)
     if sing.t >= 2 and sing.ambient_dim == bound and cls.sing_stratum_colength_finite:
         result["chi_sing"] = chi_singular_stratum(sing)
     return result, {"transposed": sing.transposed}, 0
@@ -298,37 +300,25 @@ def _cmd_colength(data: ManifestData, args):
         gens = data.ideal
     else:
         gens = data.singularity().defining_minors()
-    value, extras, code = _colength_command(args, False, colength, stabilized_colength, Ideal(gens))
-    return {"colength": value}, extras, code
+    return _colength_command(args, "colength", False, Ideal(gens))
 
 
 def _cmd_alg_index(data: ManifestData, args):
-    sing = data.singularity()
-    ideal = algebra_ideal(sing, data.one_form())
-    value, extras, code = _colength_command(args, True, colength, stabilized_colength, ideal)
-    return {"alg_index": value}, extras, code
+    ideal = algebra_ideal(data.singularity(), data.one_form())
+    return _colength_command(args, "alg_index", True, ideal)
 
 
 def _cmd_hom_index(data: ManifestData, args):
-    sing = data.singularity()
-    rank, gens = omega_quotient_generators(sing, data.one_form())
-    value, extras, code = _colength_command(
-        args, True, module_colength, stabilized_module_colength, rank, gens
-    )
-    return {"omega_quotient_dim": value}, extras, code
+    rank, gens = omega_quotient_generators(data.singularity(), data.one_form())
+    return _colength_command(args, "omega_quotient_dim", True, rank, gens)
 
 
 def _cmd_icis(data: ManifestData, args):
     sing = data.singularity()
     if sing.m != 1 or sing.t != 1:
         raise ManifestError("matrix", "complete-intersection command needs a single-row matrix and t = 1")
-    defs = [p for p in sing.matrix[0]]
-    try:
-        ideal = icis_ideal(defs, data.one_form())
-    except ValueError as exc:
-        raise ManifestError("matrix", str(exc)) from None
-    value, extras, code = _colength_command(args, True, colength, stabilized_colength, ideal)
-    return {"icis_index": value}, extras, code
+    ideal = icis_ideal(sing.matrix[0], data.one_form())
+    return _colength_command(args, "icis_index", True, ideal)
 
 
 def _cmd_gmvs(data: ManifestData, args):
@@ -337,8 +327,7 @@ def _cmd_gmvs(data: ManifestData, args):
         ideal = gmvs_ideal(sing, data.one_form())
     except ValueError as exc:
         raise ManifestError("matrix", str(exc)) from None
-    value, extras, code = _colength_command(args, True, colength, stabilized_colength, ideal)
-    return {"gmvs_index": value}, extras, code
+    return _colength_command(args, "gmvs_index", True, ideal)
 
 
 def _cmd_convert(data: ManifestData, args):
@@ -364,8 +353,7 @@ def _cmd_convert(data: ManifestData, args):
         "radial_roundtrip": radial_from_phn(phn_per, m, n, t, ambient, chibar[-1]),
     }
     code = 0
-    bound = (m - t + 2) * (n - t + 2)
-    if ambient == bound:
+    if ambient == isolation_bound(m, n, t):
         chi_sing = data.raw.get("chi_sing")
         if chi_sing is None and data.matrix is not None and t >= 2:
             try:
@@ -414,30 +402,43 @@ def _cmd_tables(data: Optional[ManifestData], args):
     return result, {}, 0
 
 
+# command -> (handler, whether it is a colength command: only those
+# take --oracle and --degree-cap)
 _COMMANDS = {
-    "check": (_cmd_check, True),
-    "minors": (_cmd_minors, True),
+    "check": (_cmd_check, False),
+    "minors": (_cmd_minors, False),
     "colength": (_cmd_colength, True),
     "alg-index": (_cmd_alg_index, True),
     "hom-index": (_cmd_hom_index, True),
     "icis": (_cmd_icis, True),
     "gmvs": (_cmd_gmvs, True),
-    "convert": (_cmd_convert, True),
+    "convert": (_cmd_convert, False),
     "tables": (_cmd_tables, False),
 }
 
 
+class _Parser(argparse.ArgumentParser):
+    """argparse with usage errors on exit code 1, the code of every other
+    input error (argparse's own is 2, which here means an infinite value
+    or an oracle mismatch)."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(1, "%s: error: %s\n" % (self.prog, message))
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="detindex",
         description="Indices of holomorphic 1-forms on determinantal singularities.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in _COMMANDS:
+    for name, (_, is_colength) in _COMMANDS.items():
         cmd = sub.add_parser(name)
         cmd.add_argument("manifest", nargs="?" if name == "tables" else None, help="path to a JSON manifest (or an emitted report)")
-        cmd.add_argument("--oracle", action="store_true", help="re-derive the value by truncated linear algebra and assert agreement")
-        cmd.add_argument("--degree-cap", type=int, default=ORACLE_CEILING, help="hard cap for the oracle's truncation degree")
+        if is_colength:
+            cmd.add_argument("--oracle", action="store_true", help="re-derive the value by truncated linear algebra and assert agreement")
+            cmd.add_argument("--degree-cap", type=int, default=ORACLE_CEILING, help="hard cap for the oracle's truncation degree")
         cmd.add_argument("--output", help="write the report to this path instead of stdout")
         if name == "minors":
             cmd.add_argument("--size", type=int, default=None, help="minor size (default: the rank bound t)")
@@ -449,15 +450,13 @@ def build_parser() -> argparse.ArgumentParser:
 def run(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    handler, needs_manifest = _COMMANDS[args.command]
+    handler, _ = _COMMANDS[args.command]
     try:
         manifest = None
         data = None
-        if getattr(args, "manifest", None) is not None:
+        if args.manifest is not None:  # only `tables` may go without one
             manifest = load_manifest(args.manifest)
             data = ManifestData(manifest)
-        elif needs_manifest:
-            raise ManifestError("(file)", "a manifest path is required")
         result, extras, code = handler(data, args)
         provenance = {
             "ordering": "anti-graded reverse lexicographic",
@@ -469,7 +468,7 @@ def run(argv=None) -> int:
             "result": result,
             "provenance": provenance,
         }
-        if manifest is not None and data is not None:
+        if data is not None:
             report["manifest"] = normalized_manifest(manifest, data)
         text = _dump(report)
         if args.output:

@@ -12,7 +12,7 @@ import math
 from dataclasses import dataclass
 from typing import Sequence, Tuple
 
-from .determinantal import stratum_dim
+from .determinantal import isolation_bound, stratum_dim
 
 
 def _sign(k: int) -> int:
@@ -179,7 +179,7 @@ def isolated_indices(
 
     chi_sing counts the rank-deficient points on an essential smoothing
     (the colength of the ideal of (t-1)-minors)."""
-    bound = (m - t + 2) * (n - t + 2)
+    bound = isolation_bound(m, n, t)
     if ambient_dim != bound:
         raise ValueError(
             "isolated non-smoothable case requires N = (m-t+2)(n-t+2); got N=%d, bound=%d"
@@ -193,7 +193,7 @@ def isolated_indices(
     elif k == 2:
         chibar_fiber = m - t + 1
     else:
-        chibar_fiber = (m - t + 2) * (n - t + 2) - 1
+        chibar_fiber = bound - 1
     ph = rad + _sign(d) * (chibar + chi_sing * chibar_fiber)
     phn = rad + _sign(d) * chibar + _sign(m + n + 1) * (m - t + 1) * chi_sing
     return ph, phn

@@ -162,6 +162,12 @@ class SingularityClass:
     sing_stratum_colength_finite: Optional[bool]
 
 
+def isolation_bound(m: int, n: int, t: int) -> int:
+    """(m-t+2)(n-t+2): `classify` calls a type (m, n, t) germ in C^N
+    isolated when N is at most this bound, and smoothable below it."""
+    return (m - t + 2) * (n - t + 2)
+
+
 def stratum_dim(m: int, n: int, i: int, ambient_dim: int) -> int:
     """Dimension of the locus where the matrix has rank below i."""
     return max(0, ambient_dim - (m - i + 1) * (n - i + 1))
@@ -176,7 +182,7 @@ def stratum_ideal(sing: DetSingularity, i: int) -> Ideal:
 
 def classify(sing: DetSingularity) -> SingularityClass:
     m, n, t, N = sing.m, sing.n, sing.t, sing.ambient_dim
-    bound = (m - t + 2) * (n - t + 2)
+    bound = isolation_bound(m, n, t)
     dims = tuple(stratum_dim(m, n, i, N) for i in range(1, t + 1))
     finite = None
     if t >= 2:
@@ -199,10 +205,10 @@ def chi_singular_stratum(sing: DetSingularity) -> int:
     m, n, t, N = sing.m, sing.n, sing.t, sing.ambient_dim
     if t < 2:
         raise ValueError("no singular stratum below the top one for t = 1")
-    if N != (m - t + 2) * (n - t + 2):
+    bound = isolation_bound(m, n, t)
+    if N != bound:
         raise ValueError(
-            "formula applies only when N = (m-t+2)(n-t+2); got N=%d, bound=%d"
-            % (N, (m - t + 2) * (n - t + 2))
+            "formula applies only when N = (m-t+2)(n-t+2); got N=%d, bound=%d" % (N, bound)
         )
     value = colength(stratum_ideal(sing, t - 1))
     if value is INFINITE:

@@ -72,16 +72,14 @@ def icis_index(defs: Sequence[Poly], form: OneForm):
 
 def gmvs_ideal(sing: DetSingularity, form: OneForm) -> Ideal:
     """Space-curve case: the curve is cut out by the maximal minors of an
-    m x (m+1) matrix in three variables; the ideal adds the 3x3 minors of
-    the gradients-plus-form matrix."""
+    m x (m+1) matrix in three variables.  Its codimension is 2, so this is
+    the algebra ideal, with the 3x3 minors of the gradients-plus-form
+    matrix."""
     if sing.ring.nvars != 3:
         raise ValueError("space-curve index needs a three-variable ring")
     if sing.n != sing.m + 1 or sing.t != sing.m:
         raise ValueError("space-curve index needs type (m, m+1, m)")
-    if form.ring != sing.ring:
-        raise ValueError("form and singularity live in different rings")
-    defs = sing.defining_minors()
-    return Ideal(defs + minors(_augmented_jacobian(defs, form), 3))
+    return algebra_ideal(sing, form)
 
 
 def gmvs_index(sing: DetSingularity, form: OneForm):

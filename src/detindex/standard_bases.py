@@ -422,23 +422,16 @@ def _absorb_unit_factor(v: _Vec) -> _Vec:
 def _minimalize(G: List[_Vec]) -> List[_Vec]:
     kept: List[_Vec] = []
     kept_leads: List[Tuple[int, Monomial]] = []
-    # A divisor has smaller or equal degree, so scan low degree first
-    # within each component; ties resolved by the order key.
-    by_degree = sorted(
-        range(len(G)),
-        key=lambda i: (
-            G[i].lead()[0][0],
-            sum(G[i].lead()[0][1]),
-            _order_key(G[i].lead()[0][1]),
-        ),
-    )
-    for i in by_degree:
-        comp, mono = G[i].lead()[0]
+    # A divisor has smaller or equal degree, and the order key starts with
+    # the degree (the slot is 0 here), so one sort by (component, order
+    # key) scans low degree first within each component and leaves the
+    # kept vectors in their final order.
+    for v in sorted(G, key=lambda v: (v.lead()[0][0], _order_key(v.lead()[0][1]))):
+        comp, mono = v.lead()[0]
         if any(c == comp and mono_divides(m, mono) for c, m in kept_leads):
             continue
-        kept.append(_absorb_unit_factor(G[i]))
+        kept.append(_absorb_unit_factor(v))
         kept_leads.append((comp, mono))
-    kept.sort(key=lambda v: (v.lead()[0][0], _order_key(v.lead()[0][1])))
     # canonical presentation: leading coefficient 1
     return [_monic(v) for v in kept]
 
@@ -459,8 +452,6 @@ def normal_form(f: Poly, basis: Iterable[Poly]) -> Poly:
     local ring, and no leading monomial of the basis divides the leading
     monomial of r.
     """
-    if isinstance(basis, StandardBasis):
-        basis = basis.elements
     reducers = []
     for g in basis:
         if g.ring != f.ring:
@@ -506,9 +497,9 @@ def colength(ideal: Ideal):
     return standard_basis(ideal).colength()
 
 
-def _module_basis(rank: int, gens: Sequence[FreeModuleElement]) -> List[_Vec]:
-    """Validated completion of a submodule of O^rank (empty when every
-    generator is zero)."""
+def _check_module_gens(rank: int, gens: Sequence[FreeModuleElement]) -> None:
+    """Generators of a submodule of O^rank: positive rank, each generator
+    of that rank, all from one ring.  The oracle checks the same."""
     if rank < 1:
         raise ValueError("rank must be positive")
     for g in gens:
@@ -516,6 +507,12 @@ def _module_basis(rank: int, gens: Sequence[FreeModuleElement]) -> List[_Vec]:
             raise ValueError("module generators of mixed rank")
         if g.ring != gens[0].ring:
             raise ValueError("mixed ring contexts in module generators")
+
+
+def _module_basis(rank: int, gens: Sequence[FreeModuleElement]) -> List[_Vec]:
+    """Validated completion of a submodule of O^rank (empty when every
+    generator is zero)."""
+    _check_module_gens(rank, gens)
     vecs = [_vec_from_components(g.components) for g in gens if not g.is_zero()]
     return _complete_basis(vecs, rank)
 

@@ -35,7 +35,7 @@ from math import gcd, lcm
 from typing import List, Sequence, Tuple
 
 from .rings import mono_degree, mono_mul, monomials_up_to
-from .standard_bases import INFINITE, FreeModuleElement, Ideal
+from .standard_bases import INFINITE, FreeModuleElement, Ideal, _check_module_gens
 
 ORACLE_START_CAP = 4
 ORACLE_CEILING = 64
@@ -117,15 +117,9 @@ def _gen_terms(gens):
 
 
 def _module_gen_terms(rank: int, gens: Sequence[FreeModuleElement]):
-    if rank < 1:
-        raise ValueError("rank must be positive")
+    _check_module_gens(rank, gens)  # the rank is checked first, also with no generators
     if not gens:
         raise ValueError("need at least one module generator")
-    for gen in gens:
-        if gen.rank != rank:
-            raise ValueError("module generators of mixed rank")
-        if gen.ring != gens[0].ring:
-            raise ValueError("mixed ring contexts in module generators")
     return _gen_terms(gen.components for gen in gens)
 
 

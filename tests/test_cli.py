@@ -275,6 +275,58 @@ def test_missing_form_names_field(capsys, tmp_path):
     assert "form" in err
 
 
+@pytest.mark.parametrize("field, entries, message", [
+    ("matrix", [["x", 3]], "manifest field 'matrix': entry [0][1] must be a string"),
+    ("matrix", [["x", "y"], ["y", "x + q"]], "manifest field 'matrix': entry [1][1]: "),
+    ("form", ["1", "y +"], "manifest field 'form': entry [1]: "),
+    ("ideal", ["x", "y", "q"], "manifest field 'ideal': entry [2]: "),
+])
+def test_entry_errors_name_field_and_position(tmp_path, capsys, field, entries, message):
+    doc = {"variables": ["x", "y"], field: entries}
+    if field == "matrix":
+        doc["t"] = 1
+    code, out, err = run_cli(capsys, "check", write_manifest(tmp_path, doc))
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: " + message)
+
+
+def run_usage(capsys, *argv):
+    with pytest.raises(SystemExit) as exc:
+        main(list(argv))
+    out = capsys.readouterr()
+    return exc.value.code, out.out, out.err
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["alg-index", SURFACE, "--no-such-flag"], "unrecognized arguments: --no-such-flag"),
+    (["alg-index"], "the following arguments are required: manifest"),
+    (["alg-index", SURFACE, "--oracle", "--degree-cap", "abc"], "argument --degree-cap: invalid int value: 'abc'"),
+    (["check", SURFACE, "--oracle"], "unrecognized arguments: --oracle"),
+])
+def test_usage_errors_exit_one(capsys, argv, message):
+    code, out, err = run_usage(capsys, *argv)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("usage: detindex")
+    assert message in err
+
+
+def test_help_exits_zero(capsys):
+    code, out, _ = run_usage(capsys, "alg-index", "--help")
+    assert code == 0
+    assert "--oracle" in out and "--degree-cap" in out
+
+
+@pytest.mark.parametrize("command", ["check", "minors", "convert", "tables"])
+@pytest.mark.parametrize("flag", [["--oracle"], ["--degree-cap", "8"]])
+def test_only_colength_commands_take_oracle_flags(capsys, command, flag):
+    code, out, err = run_usage(capsys, command, SURFACE, *flag)
+    assert code == 1
+    assert out == ""
+    assert "unrecognized arguments: %s" % " ".join(flag) in err
+
+
 def test_shipped_manifests_validate_against_schema():
     jsonschema = pytest.importorskip("jsonschema")
     with open(os.path.join(MANIFEST_DIR, "manifest.schema.json")) as fh:

@@ -1,3 +1,4 @@
+import os
 import random
 from fractions import Fraction
 
@@ -26,6 +27,9 @@ from detindex import (
     stabilized_colength,
     stabilized_module_colength,
 )
+from detindex.cli import ManifestData, load_manifest
+
+MANIFEST_DIR = os.path.join(os.path.dirname(__file__), os.pardir, "manifests")
 
 
 def P(src, ring):
@@ -180,6 +184,18 @@ def test_gmvs_format_validation(ring_xyzu, ring_xyz):
     )
     with pytest.raises(ValueError, match="three-variable"):
         gmvs_ideal(wide, OneForm.coordinate(ring_xyzu, "u"))
+
+
+def test_icis_and_gmvs_ideals_are_algebra_ideals():
+    # the two special cases are the minors algebra under extra hypotheses:
+    # same generators, in the same order
+    curve = ManifestData(load_manifest(os.path.join(MANIFEST_DIR, "space-curve-233.json")))
+    sing = curve.singularity()
+    assert gmvs_ideal(sing, curve.form).generators == algebra_ideal(sing, curve.form).generators
+    icis = ManifestData(load_manifest(os.path.join(MANIFEST_DIR, "icis-a1-surface.json")))
+    row = icis.matrix[0]
+    one_row = DetSingularity.create(icis.ring, [row], 1)
+    assert icis_ideal(row, icis.form).generators == algebra_ideal(one_row, icis.form).generators
 
 
 # -- top differential forms modulo the wedge ----------------------------------------------
