@@ -472,8 +472,12 @@ def run(argv=None) -> int:
             report["manifest"] = normalized_manifest(manifest, data)
         text = _dump(report)
         if args.output:
-            with open(args.output, "w", encoding="utf-8") as fh:
-                fh.write(text)
+            try:
+                with open(args.output, "w", encoding="utf-8") as fh:
+                    fh.write(text)
+            except OSError as exc:
+                sys.stderr.write("error: --output: %s\n" % exc)
+                return 1
         else:
             sys.stdout.write(text)
         return code

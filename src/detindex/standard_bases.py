@@ -13,7 +13,19 @@ the matched graded order, and the result is dehomogenized.  Setting the
 extra variable to 1 in such a basis yields a standard basis for the
 local order (Lazard's homogenization argument).  This route avoids the
 long écart-driven reduction chains of a direct Mora completion, whose
-exact rational coefficients blow up badly on dense input.
+exact rational coefficients blow up badly on dense input.  Each
+S-polynomial is reduced in place, in one mutable dict.  Its lead comes
+from a heap of term keys with lazy deletion: an entry whose term has
+cancelled is skipped when it surfaces, and the heap is rebuilt once such
+entries outnumber the live terms, so each term's order key is computed
+once.  A step scales the remainder only when the reducer's lead
+coefficient does not divide the remainder's, and the content is removed
+every few steps and at the end.  The reducers are sorted once per call
+by (number of terms, lead degree descending, lead order key, position)
+and the first whose lead divides the remainder's is used.  Every
+remainder is a nonzero multiple of the one a step-by-step primitive
+reduction would hold, so both choose the same reducers and end in the
+same primitive vector.
 
 One order key serves both phases.  Every engine monomial has a last slot
 for the extra variable, 0 outside homogenized Buchberger, and the key is
@@ -320,24 +332,68 @@ def _dehomogenize(v: _Vec) -> _Vec:
     return out
 
 
+# Steps between two content removals in _global_normal_form.
+_CONTENT_EVERY = 8
+
+
 def _global_normal_form(f: _Vec, reducers: Sequence[_Vec]) -> _Vec:
-    """Plain lead reduction of a homogeneous vector; terminates as is."""
-    h = f
-    while h:
-        (hcomp, hmono), _ = h.lead()
-        best = None
-        best_key = None
-        for idx, g in enumerate(reducers):
-            (gcomp, gmono), _ = g.lead()
-            if gcomp != hcomp or not mono_divides(gmono, hmono):
-                continue
-            key = (len(g.terms), -sum(gmono), _order_key(gmono), idx)
-            if best is None or key < best_key:
-                best, best_key = g, key
-        if best is None:
-            return h
-        h = _reduce_step(h, best)
-    return h
+    """Plain lead reduction of a homogeneous vector, in place (see module
+    docstring); terminates as is."""
+    # Candidates in choice order: fewest terms, then greatest lead degree,
+    # then greatest lead, then first listed.  The first divisor wins.
+    choice = []
+    for idx, g in enumerate(reducers):
+        (comp, m), c = g.lead()
+        choice.append(((len(g.terms), -sum(m), _order_key(m), idx), comp, m, c, g))
+    choice.sort()
+    h = dict(f.terms)
+    # (component, order key, term): the key is unique among the terms of
+    # one homogeneous vector, so only entries for the same term tie.
+    heap = [(comp, _order_key(m), (comp, m)) for comp, m in h]
+    heapq.heapify(heap)
+    steps = 0
+    while heap:
+        lead = heap[0][2]
+        if lead not in h:
+            heapq.heappop(heap)  # cancelled since it was pushed
+            continue
+        hcomp, hmono = lead
+        for _, gcomp, gmono, glc, g in choice:
+            if gcomp == hcomp and mono_divides(gmono, hmono):
+                break
+        else:
+            break  # the lead is irreducible
+        d = gcd(h[lead], glc)
+        fc, gc = h[lead] // d, glc // d
+        if gc != 1:
+            for k in h:
+                h[k] *= gc
+        shift = mono_div(hmono, gmono)
+        for (comp, m), c in g.terms.items():
+            k = (comp, mono_mul(m, shift))
+            delta = c * fc
+            s = h.get(k)
+            if s is None:
+                h[k] = -delta
+                heapq.heappush(heap, (comp, _order_key(k[1]), k))
+            elif s == delta:
+                del h[k]
+            else:
+                h[k] = s - delta
+        steps += 1
+        if steps % _CONTENT_EVERY == 0:
+            content = gcd(*h.values())
+            if content != 1:
+                for k in h:
+                    h[k] //= content
+        if len(heap) > 2 * len(h):
+            # stale entries outnumber live terms: keep one entry per term
+            heap = list({e[2]: e for e in heap if e[2] in h}.values())
+            heapq.heapify(heap)
+    out = _Vec(h)
+    if h:
+        out._lead = (lead, h[lead])
+    return _vec_primitive(out)
 
 
 def _buchberger(gens: Sequence[_Vec], rank: int) -> List[_Vec]:

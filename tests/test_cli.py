@@ -91,6 +91,19 @@ def test_report_round_trip_is_byte_stable(tmp_path, capsys):
         assert fh1.read() == fh2.read()
 
 
+@pytest.mark.parametrize("target, reason", [
+    ("missing-dir/x.json", "No such file or directory"),
+    (".", "Is a directory"),
+])
+def test_unwritable_output_names_the_flag(tmp_path, capsys, target, reason):
+    code, out, err = run_cli(capsys, "check", SURFACE, "--output", str(tmp_path / target))
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: --output: ")
+    assert reason in err
+    assert err.count("\n") == 1
+
+
 def test_check_command(capsys):
     code, out, _ = run_cli(capsys, "check", SURFACE)
     assert code == 0

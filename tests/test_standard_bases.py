@@ -8,21 +8,33 @@ import pytest
 from detindex import (
     INFINITE,
     LOCAL_ORDER,
+    DetSingularity,
     FreeModuleElement,
     Ideal,
+    OneForm,
     Poly,
     RingContext,
     StandardBasis,
+    algebra_ideal,
     colength,
     module_colength,
     module_standard_basis,
     normal_form,
+    omega_quotient_generators,
     parse_poly,
     standard_basis,
     truncated_colength_oracle,
 )
 
-from detindex.standard_bases import _order_key
+from detindex import standard_bases
+from detindex.rings import mono_divides
+from detindex.standard_bases import (
+    _Vec,
+    _global_normal_form,
+    _order_key,
+    _reduce_step,
+    _vec_primitive,
+)
 
 from conftest import random_poly, time_limit
 
@@ -409,3 +421,97 @@ def test_ideal_validation(ring_xy, ring_xyz):
         Ideal([])
     with pytest.raises(ValueError):
         Ideal([ring_xy.variable(0), ring_xyz.variable(0)])
+
+
+# -- the in-place reducer --------------------------------------------------------
+
+def _reference_global_normal_form(f, reducers, ties=None):
+    """Lead reduction one primitive `_reduce_step` at a time, choosing
+    among all divisors by (terms, -lead degree, lead order key, index):
+    the reducer before it ran in place.  Appends to ties the lead of each
+    step where more than one divisor had the fewest terms."""
+    h = f
+    while h:
+        (hcomp, hmono), _ = h.lead()
+        keyed = []
+        for idx, g in enumerate(reducers):
+            (gcomp, gmono), _ = g.lead()
+            if gcomp == hcomp and mono_divides(gmono, hmono):
+                keyed.append(((len(g.terms), -sum(gmono), _order_key(gmono), idx), g))
+        if not keyed:
+            return h
+        keyed.sort(key=lambda kg: kg[0])
+        if ties is not None and len(keyed) > 1 and keyed[0][0][0] == keyed[1][0][0]:
+            ties.append(hmono)
+        h = _reduce_step(h, keyed[0][1])
+    return h
+
+
+def _random_homogeneous_vec(rng, nvars, rank, degree, nterms):
+    """Primitive vector whose terms all have total degree `degree`, the
+    homogenizing slot included."""
+    terms = {}
+    for _ in range(nterms):
+        mono = [0] * (nvars + 1)
+        for _ in range(degree):
+            mono[rng.randrange(nvars + 1)] += 1
+        terms[(rng.randrange(rank), tuple(mono))] = rng.choice((-6, -3, -2, -1, 1, 2, 3, 4, 9))
+    return _vec_primitive(_Vec(terms))
+
+
+@pytest.mark.parametrize("rank", [1, 2])
+def test_in_place_reducer_matches_step_by_step_reference(rank):
+    rng = random.Random(8 + rank)
+    ties, reduced = [], 0
+    for _ in range(60):
+        # eight reducers of 1-3 terms: several share a length
+        reducers = [
+            _random_homogeneous_vec(rng, 3, rank, rng.randint(1, 3), rng.randint(1, 3))
+            for _ in range(8)
+        ]
+        f = _random_homogeneous_vec(rng, 3, rank, rng.randint(3, 6), rng.randint(4, 12))
+        expected = _reference_global_normal_form(f, reducers, ties)
+        with time_limit(10):
+            assert _global_normal_form(f, reducers).terms == expected.terms
+        reduced += expected is not f
+    assert reduced > 40
+    assert len(ties) > 20
+
+
+def _threefold_and_form():
+    ring = RingContext(("x", "y", "z", "u", "v"))
+    rows = [["x", "y", "z"], ["u", "v", "x+y^2"]]
+    threefold = DetSingularity.create(ring, [[P(e, ring) for e in row] for row in rows], 2)
+    return threefold, OneForm.differential(P("v + u^2 + z^3", ring))
+
+
+def _dense_ideal(k):
+    """(l^k, x^k, y^k, z^k, u^k) for a linear form l with nonzero coefficients."""
+    ring = RingContext(("x", "y", "z", "u"))
+    return ideal(ring, "(x + 2*y - 3*z + 5*u)^%d" % k, *("%s^%d" % (v, k) for v in "xyzu"))
+
+
+@pytest.mark.parametrize("make", [
+    lambda: _dense_ideal(4),
+    lambda: _dense_ideal(5),
+    lambda: algebra_ideal(*_threefold_and_form()),
+], ids=["dense-k4", "dense-k5", "threefold-algebra"])
+def test_completion_matches_step_by_step_reference(monkeypatch, make):
+    I = make()
+    got = standard_basis(I)
+    monkeypatch.setattr(standard_bases, "_global_normal_form", _reference_global_normal_form)
+    assert standard_basis(I) == got
+
+
+def test_module_completion_matches_step_by_step_reference(monkeypatch):
+    rank, gens = omega_quotient_generators(*_threefold_and_form())
+    got = module_standard_basis(rank, gens)
+    monkeypatch.setattr(standard_bases, "_global_normal_form", _reference_global_normal_form)
+    assert module_standard_basis(rank, gens) == got
+
+
+def test_dense_k7_colength_within_time_bound():
+    # 1451 = sum over d of max(0, h_d - h_(d-7)), h the Hilbert function
+    # of the monomial complete intersection (x^7, y^7, z^7, u^7).
+    with time_limit(20):
+        assert colength(_dense_ideal(7)) == 1451
