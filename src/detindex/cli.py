@@ -90,8 +90,12 @@ def load_manifest(path: str) -> dict:
             doc = json.load(fh)
     except OSError as exc:
         raise ManifestError("(file)", str(exc)) from None
-    except json.JSONDecodeError as exc:
+    except UnicodeDecodeError as exc:
+        raise ManifestError("(file)", "not valid UTF-8: %s" % exc) from None
+    except ValueError as exc:  # bad syntax, or an integer too long to convert
         raise ManifestError("(file)", "invalid JSON: %s" % exc) from None
+    except RecursionError:
+        raise ManifestError("(file)", "JSON nested too deeply") from None
     if not isinstance(doc, dict):
         raise ManifestError("(file)", "top-level value must be an object")
     if "manifest" in doc and "command" in doc:
@@ -208,6 +212,8 @@ class ManifestData:
             raise ManifestError("N", "required (integer) when no matrix is given")
         if ambient < 1:
             raise ManifestError("N", "must be at least 1")
+        if not 1 <= t <= m <= n:
+            raise ManifestError("type", "need 1 <= t <= m <= n")
         return m, n, t, ambient
 
 
@@ -382,13 +388,13 @@ def _cmd_tables(data: Optional[ManifestData], args):
             m, n, t = (int(x) for x in args.type.split(","))
         except ValueError:
             raise ManifestError("(--type)", "expected m,n,t integers") from None
+        if not 1 <= t <= m <= n:
+            raise ManifestError("type", "need 1 <= t <= m <= n")
         ambient = None
     else:
         if data is None:
             raise ManifestError("(--type)", "required when no manifest is given")
         m, n, t, ambient = data.type_triple()
-    if not 1 <= t <= m <= n:
-        raise ManifestError("type", "need 1 <= t <= m <= n")
     mats = coeff_matrices(m, n, t)
     result = {
         "type": [m, n, t],

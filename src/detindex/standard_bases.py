@@ -13,19 +13,26 @@ the matched graded order, and the result is dehomogenized.  Setting the
 extra variable to 1 in such a basis yields a standard basis for the
 local order (Lazard's homogenization argument).  This route avoids the
 long écart-driven reduction chains of a direct Mora completion, whose
-exact rational coefficients blow up badly on dense input.  Each
-S-polynomial is reduced in place, in one mutable dict.  Its lead comes
-from a heap of term keys with lazy deletion: an entry whose term has
-cancelled is skipped when it surfaces, and the heap is rebuilt once such
-entries outnumber the live terms, so each term's order key is computed
-once.  A step scales the remainder only when the reducer's lead
-coefficient does not divide the remainder's, and the content is removed
-every few steps and at the end.  The reducers are sorted once per call
-by (number of terms, lead degree descending, lead order key, position)
-and the first whose lead divides the remainder's is used.  Every
-remainder is a nonzero multiple of the one a step-by-step primitive
-reduction would hold, so both choose the same reducers and end in the
-same primitive vector.
+exact rational coefficients blow up badly on dense input.
+
+One kernel does every cancellation in the engine: on a mutable dict of
+terms h it cancels one term against a multiple of a reducer g, as
+h := gc*h - fc*x^shift*g with fc and gc the two lead coefficients
+divided by their gcd, so it scales h only when the lead coefficient of
+g does not divide that of h.  An S-vector is the first step of its own
+reduction: x^(lcm/lead gi)*gi is cancelled against gj at the lcm, and
+the same dict is reduced on.  Its lead comes from a heap of term keys
+with lazy deletion: an entry whose term has cancelled is skipped when
+it surfaces, and the heap is rebuilt once such entries outnumber the
+live terms, so each term's order key is computed once.  The content is
+removed every few steps and at the end.  The reducers are sorted once
+per call by (number of terms, lead degree descending, lead order key,
+position) and the first whose lead divides the remainder's is used.
+Every remainder is a nonzero multiple of the one a step-by-step
+primitive reduction would hold, so both choose the same reducers and
+end in the same primitive vector.  A Mora step runs the kernel on a
+copy of the partial remainder, which T may keep, and makes the result
+primitive.
 
 One order key serves both phases.  Every engine monomial has a last slot
 for the extra variable, 0 outside homogenized Buchberger, and the key is
@@ -254,42 +261,41 @@ def _vec_primitive(v: _Vec) -> _Vec:
     return out
 
 
-def _cancel(f: _Vec, fshift, g: _Vec, gshift: Monomial) -> _Vec:
-    """gc * x^fshift * f - fc * x^gshift * g, made primitive, where fc and
-    gc are the lead coefficients of f and g divided by their gcd.  A None
-    fshift leaves f unmultiplied."""
-    fc = f.lead()[1]
-    gc = g.lead()[1]
-    d = gcd(fc, gc)
-    fc, gc = fc // d, gc // d
-    if fshift is None:
-        out = {k: c * gc for k, c in f.terms.items()}
-    else:
-        out = {(comp, mono_mul(m, fshift)): c * gc for (comp, m), c in f.terms.items()}
+def _reduce_at(h: dict, lead, g: _Vec) -> list:
+    """The one cancellation kernel: h := gc*h - fc*x^shift*g in place, where
+    x^shift times the lead monomial of g is the term lead of h, and fc, gc
+    are h[lead] and the lead coefficient of g divided by their gcd, so the
+    term at lead cancels.  Returns the keys it created."""
+    (_, gmono), glc = g.lead()
+    d = gcd(h[lead], glc)
+    fc, gc = h[lead] // d, glc // d
+    if gc != 1:
+        for k in h:
+            h[k] *= gc
+    shift = mono_div(lead[1], gmono)
+    created = []
     for (comp, m), c in g.terms.items():
-        key = (comp, mono_mul(m, gshift))
+        k = (comp, mono_mul(m, shift))
         delta = c * fc
-        if key in out:
-            s = out[key] - delta
-            if s:
-                out[key] = s
-            else:
-                del out[key]
+        s = h.get(k)
+        if s is None:
+            h[k] = -delta
+            created.append(k)
+        elif s == delta:
+            del h[k]
         else:
-            out[key] = -delta
-    return _vec_primitive(_Vec(out))
+            h[k] = s - delta
+    return created
 
 
-def _reduce_step(h: _Vec, g: _Vec) -> _Vec:
-    """Cancel the lead of h against g."""
-    return _cancel(h, None, g, mono_div(h.lead()[0][1], g.lead()[0][1]))
-
-
-def _spair(gi: _Vec, gj: _Vec) -> _Vec:
-    mi = gi.lead()[0][1]
-    mj = gj.lead()[0][1]
-    lcm_ij = mono_lcm(mi, mj)
-    return _cancel(gi, mono_div(lcm_ij, mi), gj, mono_div(lcm_ij, mj))
+def _s_vector(gi: _Vec, gj: _Vec, lcm_ij: Monomial) -> dict:
+    """x^(lcm/lead gi)*gi with its lead cancelled against gj: the
+    S-vector, not yet primitive, as the first step of its reduction."""
+    (comp, mi), _ = gi.lead()
+    shift = mono_div(lcm_ij, mi)
+    h = {(c, mono_mul(m, shift)): v for (c, m), v in gi.terms.items()}
+    _reduce_at(h, (comp, lcm_ij), gj)
+    return h
 
 
 def _mora_normal_form(f: _Vec, reducers: Sequence[_Vec]) -> _Vec:
@@ -315,7 +321,9 @@ def _mora_normal_form(f: _Vec, reducers: Sequence[_Vec]) -> _Vec:
             return h
         if best.ecart() > h.ecart():
             T.append(h)
-        h = _reduce_step(h, best)
+        terms = dict(h.terms)
+        _reduce_at(terms, h.lead()[0], best)
+        h = _vec_primitive(_Vec(terms))
     return h
 
 
@@ -336,17 +344,16 @@ def _dehomogenize(v: _Vec) -> _Vec:
 _CONTENT_EVERY = 8
 
 
-def _global_normal_form(f: _Vec, reducers: Sequence[_Vec]) -> _Vec:
-    """Plain lead reduction of a homogeneous vector, in place (see module
-    docstring); terminates as is."""
+def _global_normal_form(h: dict, reducers: Sequence[_Vec]) -> _Vec:
+    """Plain lead reduction of the terms h of a homogeneous vector, in
+    place (see module docstring); terminates as is."""
     # Candidates in choice order: fewest terms, then greatest lead degree,
     # then greatest lead, then first listed.  The first divisor wins.
     choice = []
     for idx, g in enumerate(reducers):
-        (comp, m), c = g.lead()
-        choice.append(((len(g.terms), -sum(m), _order_key(m), idx), comp, m, c, g))
+        (comp, m), _ = g.lead()
+        choice.append(((len(g.terms), -sum(m), _order_key(m), idx), comp, m, g))
     choice.sort()
-    h = dict(f.terms)
     # (component, order key, term): the key is unique among the terms of
     # one homogeneous vector, so only entries for the same term tie.
     heap = [(comp, _order_key(m), (comp, m)) for comp, m in h]
@@ -358,28 +365,13 @@ def _global_normal_form(f: _Vec, reducers: Sequence[_Vec]) -> _Vec:
             heapq.heappop(heap)  # cancelled since it was pushed
             continue
         hcomp, hmono = lead
-        for _, gcomp, gmono, glc, g in choice:
+        for _, gcomp, gmono, g in choice:
             if gcomp == hcomp and mono_divides(gmono, hmono):
                 break
         else:
             break  # the lead is irreducible
-        d = gcd(h[lead], glc)
-        fc, gc = h[lead] // d, glc // d
-        if gc != 1:
-            for k in h:
-                h[k] *= gc
-        shift = mono_div(hmono, gmono)
-        for (comp, m), c in g.terms.items():
-            k = (comp, mono_mul(m, shift))
-            delta = c * fc
-            s = h.get(k)
-            if s is None:
-                h[k] = -delta
-                heapq.heappush(heap, (comp, _order_key(k[1]), k))
-            elif s == delta:
-                del h[k]
-            else:
-                h[k] = s - delta
+        for k in _reduce_at(h, lead, g):
+            heapq.heappush(heap, (k[0], _order_key(k[1]), k))
         steps += 1
         if steps % _CONTENT_EVERY == 0:
             content = gcd(*h.values())
@@ -443,7 +435,7 @@ def _buchberger(gens: Sequence[_Vec], rank: int) -> List[_Vec]:
                 break
         if skip:
             continue
-        h = _global_normal_form(_spair(G[i], G[j]), G)
+        h = _global_normal_form(_s_vector(G[i], G[j], lcm_ij), G)
         if not h:
             continue
         G.append(h)

@@ -143,10 +143,10 @@ def truncated_module_colength(
     return _report(rank, _module_gen_terms(rank, gens), gens[0].ring.nvars, degree_cap)
 
 
-def _stabilize(rank: int, gen_terms, nvars: int, start: int, ceiling: int) -> TruncationReport:
+def _stabilize(rank: int, gen_terms, nvars: int, ceiling: int) -> TruncationReport:
     if ceiling < 2:
         raise ValueError("ceiling must be at least 2: stabilization compares two caps")
-    cap = min(max(2, start), ceiling)
+    cap = min(ORACLE_START_CAP, ceiling)
     per_degree: List[Tuple[int, int]] = []
     while True:
         dims = _hilbert_samuel(rank, gen_terms, nvars, cap)
@@ -159,17 +159,13 @@ def _stabilize(rank: int, gen_terms, nvars: int, start: int, ceiling: int) -> Tr
         cap = min(2 * cap, ceiling)
 
 
-def stabilized_colength(
-    ideal: Ideal, start: int = ORACLE_START_CAP, ceiling: int = ORACLE_CEILING
-) -> TruncationReport:
-    """Doubling cap schedule; stabilized=False is an honest give-up."""
-    return _stabilize(1, _gen_terms((g,) for g in ideal.generators), ideal.ring.nvars, start, ceiling)
+def stabilized_colength(ideal: Ideal, ceiling: int = ORACLE_CEILING) -> TruncationReport:
+    """Doubling cap schedule from ORACLE_START_CAP; stabilized=False is an
+    honest give-up."""
+    return _stabilize(1, _gen_terms((g,) for g in ideal.generators), ideal.ring.nvars, ceiling)
 
 
 def stabilized_module_colength(
-    rank: int,
-    gens: Sequence[FreeModuleElement],
-    start: int = ORACLE_START_CAP,
-    ceiling: int = ORACLE_CEILING,
+    rank: int, gens: Sequence[FreeModuleElement], ceiling: int = ORACLE_CEILING
 ) -> TruncationReport:
-    return _stabilize(rank, _module_gen_terms(rank, gens), gens[0].ring.nvars, start, ceiling)
+    return _stabilize(rank, _module_gen_terms(rank, gens), gens[0].ring.nvars, ceiling)

@@ -233,6 +233,31 @@ def test_ambient_dimension_below_one_names_field(tmp_path, capsys, command, ambi
     assert "manifest field 'N'" in err
 
 
+@pytest.mark.parametrize("content, reason", [
+    (b'{"variables": ["x\xff"]}', "not valid UTF-8"),
+    (b"[" * 100000 + b"]" * 100000, "nested too deeply"),
+    (b'{"N": ' + b"9" * 5000 + b"}", "invalid JSON"),
+], ids=["not-utf8", "deep-nesting", "long-integer"])
+def test_unreadable_manifest_names_the_file(tmp_path, capsys, content, reason):
+    path = tmp_path / "m.json"
+    path.write_bytes(content)
+    code, out, err = run_cli(capsys, "check", str(path))
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: manifest field '(file)': ") and reason in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("triple, radial", [([2, 3, -1], [1]), ([2, 3, 5], [1, 2])],
+                         ids=["t-negative", "t-above-m"])
+def test_convert_checks_type_before_the_vectors(tmp_path, capsys, triple, radial):
+    path = write_manifest(tmp_path, {"type": triple, "N": 4, "radial": radial, "chi": [1] * len(radial)})
+    code, out, err = run_cli(capsys, "convert", path)
+    assert code == 1
+    assert out == ""
+    assert err == "error: manifest field 'type': need 1 <= t <= m <= n\n"
+
+
 def test_validation_error_names_field(tmp_path, capsys):
     path = write_manifest(tmp_path, {
         "variables": ["x", "y"],

@@ -27,12 +27,13 @@ from detindex import (
 )
 
 from detindex import standard_bases
-from detindex.rings import mono_divides
+from detindex.rings import mono_div, mono_divides, mono_lcm, mono_mul
 from detindex.standard_bases import (
     _Vec,
     _global_normal_form,
     _order_key,
-    _reduce_step,
+    _s_vector,
+    _vec_from_components,
     _vec_primitive,
 )
 
@@ -423,14 +424,58 @@ def test_ideal_validation(ring_xy, ring_xyz):
         Ideal([ring_xy.variable(0), ring_xyz.variable(0)])
 
 
-# -- the in-place reducer --------------------------------------------------------
+# -- the in-place kernel against the copying step it replaced ---------------------
 
-def _reference_global_normal_form(f, reducers, ties=None):
-    """Lead reduction one primitive `_reduce_step` at a time, choosing
+def _reference_cancel(f, fshift, g, gshift):
+    """gc * x^fshift * f - fc * x^gshift * g, made primitive, where fc and
+    gc are the lead coefficients of f and g divided by their gcd, built in
+    a fresh dict.  A None fshift leaves f unmultiplied."""
+    fc = f.lead()[1]
+    gc = g.lead()[1]
+    d = math.gcd(fc, gc)
+    fc, gc = fc // d, gc // d
+    if fshift is None:
+        out = {k: c * gc for k, c in f.terms.items()}
+    else:
+        out = {(comp, mono_mul(m, fshift)): c * gc for (comp, m), c in f.terms.items()}
+    for (comp, m), c in g.terms.items():
+        key = (comp, mono_mul(m, gshift))
+        delta = c * fc
+        if key in out:
+            s = out[key] - delta
+            if s:
+                out[key] = s
+            else:
+                del out[key]
+        else:
+            out[key] = -delta
+    return _vec_primitive(_Vec(out))
+
+
+def _reference_reduce_step(h, g):
+    """Cancel the lead of h against g."""
+    return _reference_cancel(h, None, g, mono_div(h.lead()[0][1], g.lead()[0][1]))
+
+
+def _reference_spair(gi, gj):
+    mi = gi.lead()[0][1]
+    mj = gj.lead()[0][1]
+    lcm_ij = mono_lcm(mi, mj)
+    return _reference_cancel(gi, mono_div(lcm_ij, mi), gj, mono_div(lcm_ij, mj))
+
+
+def _reference_s_vector(gi, gj, lcm_ij):
+    """Stands in for `_s_vector` in the completion."""
+    assert mono_lcm(gi.lead()[0][1], gj.lead()[0][1]) == lcm_ij
+    return dict(_reference_spair(gi, gj).terms)
+
+
+def _reference_global_normal_form(terms, reducers, ties=None):
+    """Lead reduction one primitive copying step at a time, choosing
     among all divisors by (terms, -lead degree, lead order key, index):
     the reducer before it ran in place.  Appends to ties the lead of each
     step where more than one divisor had the fewest terms."""
-    h = f
+    h = _vec_primitive(_Vec(dict(terms)))
     while h:
         (hcomp, hmono), _ = h.lead()
         keyed = []
@@ -443,7 +488,32 @@ def _reference_global_normal_form(f, reducers, ties=None):
         keyed.sort(key=lambda kg: kg[0])
         if ties is not None and len(keyed) > 1 and keyed[0][0][0] == keyed[1][0][0]:
             ties.append(hmono)
-        h = _reduce_step(h, keyed[0][1])
+        h = _reference_reduce_step(h, keyed[0][1])
+    return h
+
+
+def _reference_mora_normal_form(f, reducers, grown):
+    """Mora's weak normal form one primitive copying step at a time; appends
+    to grown the lead of each partial remainder T keeps."""
+    T = list(reducers)
+    h = f
+    while h:
+        (hcomp, hmono), _ = h.lead()
+        best, best_key = None, None
+        for idx, g in enumerate(T):
+            (gcomp, gmono), _ = g.lead()
+            if gcomp != hcomp or not mono_divides(gmono, hmono):
+                continue
+            gk = _order_key(gmono)
+            key = (g.ecart(), -gk[0], tuple(-x for x in gk[1]), idx)
+            if best is None or key < best_key:
+                best, best_key = g, key
+        if best is None:
+            return h
+        if best.ecart() > h.ecart():
+            T.append(h)
+            grown.append(hmono)
+        h = _reference_reduce_step(h, best)
     return h
 
 
@@ -460,6 +530,53 @@ def _random_homogeneous_vec(rng, nvars, rank, degree, nterms):
 
 
 @pytest.mark.parametrize("rank", [1, 2])
+def test_s_vector_made_primitive_matches_reference(rank):
+    rng = random.Random(30 + rank)
+    pairs = zero = scaled = 0
+    while pairs < 150:
+        gi, gj = (
+            _random_homogeneous_vec(rng, 3, rank, rng.randint(1, 4), rng.randint(1, 6))
+            for _ in range(2)
+        )
+        if rng.random() < 0.1:
+            gj = _vec_primitive(_Vec({k: 3 * c for k, c in gi.terms.items()}))
+        (ci, mi), ai = gi.lead()
+        (cj, mj), aj = gj.lead()
+        if ci != cj:
+            continue
+        got = _vec_primitive(_Vec(_s_vector(gi, gj, mono_lcm(mi, mj))))
+        assert got.terms == _reference_spair(gi, gj).terms
+        pairs += 1
+        zero += not got
+        scaled += ai % aj != 0  # gc != 1: the kernel scales h
+    assert zero > 5
+    assert scaled > 30
+
+
+def test_mora_normal_form_matches_reference():
+    # Two variables: in three, some random inputs hit the long Mora chains
+    # a highest-corner cut would end.
+    rng = random.Random(11)
+    ring = RingContext(("x", "y"))
+    grown, reduced = [], 0
+    with time_limit(20):
+        for _ in range(300):
+            basis = [random_poly(ring, rng, 3, 3, allow_constant=False) for _ in range(3)]
+            f = random_poly(ring, rng, 5, 4, allow_constant=False)
+            reducers = [_vec_from_components([g]) for g in basis if g]
+            start = _vec_from_components([f])
+            expected = _reference_mora_normal_form(start, reducers, grown)
+            got = normal_form(f, basis)
+            if expected is start:
+                assert got is f
+            else:
+                assert got == standard_bases._components(expected, 1, ring)[0]
+                reduced += 1
+    assert reduced > 100
+    assert len(grown) > 50
+
+
+@pytest.mark.parametrize("rank", [1, 2])
 def test_in_place_reducer_matches_step_by_step_reference(rank):
     rng = random.Random(8 + rank)
     ties, reduced = [], 0
@@ -470,10 +587,10 @@ def test_in_place_reducer_matches_step_by_step_reference(rank):
             for _ in range(8)
         ]
         f = _random_homogeneous_vec(rng, 3, rank, rng.randint(3, 6), rng.randint(4, 12))
-        expected = _reference_global_normal_form(f, reducers, ties)
+        expected = _reference_global_normal_form(f.terms, reducers, ties)
         with time_limit(10):
-            assert _global_normal_form(f, reducers).terms == expected.terms
-        reduced += expected is not f
+            assert _global_normal_form(dict(f.terms), reducers).terms == expected.terms
+        reduced += expected.terms != f.terms
     assert reduced > 40
     assert len(ties) > 20
 
@@ -499,6 +616,7 @@ def _dense_ideal(k):
 def test_completion_matches_step_by_step_reference(monkeypatch, make):
     I = make()
     got = standard_basis(I)
+    monkeypatch.setattr(standard_bases, "_s_vector", _reference_s_vector)
     monkeypatch.setattr(standard_bases, "_global_normal_form", _reference_global_normal_form)
     assert standard_basis(I) == got
 
@@ -506,6 +624,7 @@ def test_completion_matches_step_by_step_reference(monkeypatch, make):
 def test_module_completion_matches_step_by_step_reference(monkeypatch):
     rank, gens = omega_quotient_generators(*_threefold_and_form())
     got = module_standard_basis(rank, gens)
+    monkeypatch.setattr(standard_bases, "_s_vector", _reference_s_vector)
     monkeypatch.setattr(standard_bases, "_global_normal_form", _reference_global_normal_form)
     assert module_standard_basis(rank, gens) == got
 

@@ -69,7 +69,7 @@ def test_stabilized_flag_requires_two_equal_caps(ring_xy):
 
 def test_doubling_driver_gives_up_honestly(ring_xy):
     I = Ideal([P("x*y", ring_xy)])
-    report = stabilized_colength(I, start=4, ceiling=8)
+    report = stabilized_colength(I, ceiling=8)
     assert not report.stabilized
     assert report.agrees_with(INFINITE)
     assert not report.agrees_with(5)
@@ -82,7 +82,7 @@ def test_infinite_is_a_sentinel_not_a_float(ring_xy):
     assert pickle.loads(pickle.dumps(INFINITE)) is INFINITE
     I = Ideal([P("x*y", ring_xy)])
     assert colength(I) is INFINITE
-    report = stabilized_colength(I, start=4, ceiling=8)
+    report = stabilized_colength(I, ceiling=8)
     assert not report.stabilized
     assert report.agrees_with(INFINITE)
     assert not report.agrees_with(float("inf"))
