@@ -7,7 +7,7 @@ degree part.  That convention is what makes division behave like
 division of power series at the origin.
 """
 
-from detindex import LOCAL_ORDER, RingContext, parse_poly
+from detindex import RingContext, parse_poly, sort_key
 
 ring = RingContext(("x", "y", "z", "u"))
 
@@ -20,9 +20,8 @@ assert parse_poly(g.render(), ring) == g
 
 # 1 beats x, and x beats x^2: lower degree is greater.  A smaller sort
 # key means a greater monomial.
-key = LOCAL_ORDER.sort_key
-print("1 > x:", key((0, 0, 0, 0)) < key((1, 0, 0, 0)))
-print("x > x^2:", key((1, 0, 0, 0)) < key((2, 0, 0, 0)))
+print("1 > x:", sort_key((0, 0, 0, 0)) < sort_key((1, 0, 0, 0)))
+print("x > x^2:", sort_key((1, 0, 0, 0)) < sort_key((2, 0, 0, 0)))
 
 h = parse_poly("x + x^2 + y^3", ring)
 lead, _ = h.leading()

@@ -18,6 +18,7 @@ or the oracle disagreed with the engine.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from typing import Optional
@@ -46,7 +47,7 @@ from .form_indices import (
     icis_ideal,
     omega_quotient_generators,
 )
-from .rings import PolyParseError, RingContext, parse_poly
+from .rings import LOCAL_ORDER, PolyParseError, RingContext, parse_poly
 from .standard_bases import INFINITE, Ideal, colength, module_colength
 from .truncation import (
     ORACLE_CEILING,
@@ -433,7 +434,9 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, "%s: error: %s\n" % (self.prog, message))
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process on first use."""
     parser = _Parser(
         prog="detindex",
         description="Indices of holomorphic 1-forms on determinantal singularities.",
@@ -465,7 +468,7 @@ def run(argv=None) -> int:
             data = ManifestData(manifest)
         result, extras, code = handler(data, args)
         provenance = {
-            "ordering": "anti-graded reverse lexicographic",
+            "ordering": LOCAL_ORDER,
             "coefficient_field": "rationals",
         }
         provenance.update(extras)

@@ -112,18 +112,15 @@ def monomials_up_to(nvars: int, maxdeg: int) -> Iterator[Monomial]:
         yield from rec(nvars, deg)
 
 
-@dataclass(frozen=True)
-class LocalOrder:
-    """Anti-graded reverse lexicographic order; 1 is the greatest monomial."""
-
-    @staticmethod
-    def sort_key(mono: Monomial):
-        # Smaller key means greater monomial, so ascending-key iteration
-        # walks monomials from greatest to least.
-        return (sum(mono), mono[::-1])
+def sort_key(mono: Monomial):
+    """The one term order, anti-graded reverse lexicographic: smaller key
+    means greater monomial, so ascending-key iteration walks monomials
+    from greatest to least."""
+    return (sum(mono), mono[::-1])
 
 
-LOCAL_ORDER = LocalOrder()
+# The order's name, as reports print it.
+LOCAL_ORDER = "anti-graded reverse lexicographic"
 
 
 class Poly:
@@ -168,7 +165,7 @@ class Poly:
         if not self.terms:
             return None
         if self._lead is None:
-            m = min(self.terms, key=LocalOrder.sort_key)
+            m = min(self.terms, key=sort_key)
             self._lead = (m, self.terms[m])
         return self._lead
 
@@ -279,7 +276,7 @@ class Poly:
         if not self.terms:
             return "0"
         pieces = []
-        for mono in sorted(self.terms, key=LocalOrder.sort_key):
+        for mono in sorted(self.terms, key=sort_key):
             c = self.terms[mono]
             sign, mag = ("-", -c) if c < 0 else ("+", c)
             mono_s = self._mono_str(mono)
@@ -330,7 +327,11 @@ def _tokenize(src: str):
                 "unexpected character %r" % stripped[0], len(src) - len(stripped)
             )
         if m.lastgroup == "int":
-            tokens.append(("int", int(m.group("int")), m.start("int")))
+            try:
+                value = int(m.group("int"))
+            except ValueError:  # more digits than the interpreter converts
+                raise PolyParseError("numeral too long", m.start("int")) from None
+            tokens.append(("int", value, m.start("int")))
         elif m.lastgroup == "name":
             tokens.append(("name", m.group("name"), m.start("name")))
         else:

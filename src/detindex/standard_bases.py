@@ -7,13 +7,19 @@ remainder itself is kept as a future reducer.  This multiplies the input
 by an (implicit) unit of the local ring but terminates on polynomial
 input, which plain division under an anti-graded order does not.
 
-Basis completion works on homogenized input: generators are made
-homogeneous with one extra variable, a plain Buchberger loop runs under
-the matched graded order, and the result is dehomogenized.  Setting the
-extra variable to 1 in such a basis yields a standard basis for the
-local order (Lazard's homogenization argument).  This route avoids the
-long écart-driven reduction chains of a direct Mora completion, whose
-exact rational coefficients blow up badly on dense input.
+Basis completion is Lazard's: generators are made homogeneous with one
+extra variable t, a plain Buchberger loop runs under the matched graded
+order, and setting t to 1 gives a standard basis for the local order.
+This avoids the long écart-driven reduction chains of a direct Mora
+completion, whose exact coefficients blow up on dense input.  The
+exponent of t is not stored: a vector keeps its terms in the original
+variables and the loop keeps its homogenized degree D (the "sugar" of
+Greuel-Pfister, section 1.7; a generator's D is its largest term
+degree), so x^a carries t^(D - |a|).  The exponent e = D - |a| of t in
+a lead x^a is worked out once per basis element: x^a*t^e divides
+x^b*t^f exactly when x^a divides x^b and e <= f.  The lcm of two leads,
+and so their S-vector, has degree |lcm(a, b)| + max(e, f), and two
+leads are coprime only when one of e, f is 0.
 
 One kernel does every cancellation in the engine: on a mutable dict of
 terms h it cancels one term against a multiple of a reducer g, as
@@ -26,25 +32,24 @@ with lazy deletion: an entry whose term has cancelled is skipped when
 it surfaces, and the heap is rebuilt once such entries outnumber the
 live terms, so each term's order key is computed once.  The content is
 removed every few steps and at the end.  The reducers are sorted once
-per call by (number of terms, lead degree descending, lead order key,
-position) and the first whose lead divides the remainder's is used.
+per call by (number of terms, homogenized lead degree descending, lead
+order key, position), and the first whose lead divides the remainder's
+is used.
 Every remainder is a nonzero multiple of the one a step-by-step
 primitive reduction would hold, so both choose the same reducers and
 end in the same primitive vector.  A Mora step runs the kernel on a
 copy of the partial remainder, which T may keep, and makes the result
 primitive.
 
-One order key serves both phases.  Every engine monomial has a last slot
-for the extra variable, 0 outside homogenized Buchberger, and the key is
-(degree in the original variables, their reverse exponent tuple): the
-local order when the slot is 0, and the graded order on the terms of one
-homogeneous vector, which share their total degree.  Critical pairs wait
-in a heap keyed, when the pair is created, by (lcm degree, component,
-lcm order key, i, j); leading terms never change, so the key is fixed
-and pairs pop smallest-lcm-degree first.  Coprime leading terms are
-discarded in the ideal case (the product criterion is not sound for
-submodules of free modules and is skipped there), and the classical
-chain criterion prunes pairs dominated by an already-treated element.
+One order key serves both phases: ``rings.sort_key``, which orders every
+``Poly`` too.  It is the local order, and on the terms of one
+homogeneous vector, which share their degree with t, the graded order.
+Critical pairs wait in a heap keyed, when the pair is created, by
+(homogenized lcm degree, component, order key of the lcm, i, j); leads
+never change, so the key is fixed.  Coprime leads are discarded in the
+ideal case (the product criterion is not sound for submodules of free
+modules), and the classical chain criterion prunes pairs dominated by an
+already-treated element.
 
 Coefficients are rationals (``Fraction``) at the public functions and
 Python ints inside the engine.  Denominators are cleared once on the way
@@ -79,7 +84,6 @@ from typing import Iterable, List, Sequence, Tuple
 
 from .rings import (
     LOCAL_ORDER,
-    LocalOrder,
     Monomial,
     Poly,
     RingContext,
@@ -87,6 +91,7 @@ from .rings import (
     mono_divides,
     mono_lcm,
     mono_mul,
+    sort_key,
 )
 
 
@@ -168,7 +173,7 @@ class StandardBasis:
     """
 
     ring: RingContext
-    order: LocalOrder
+    order: str
     elements: Tuple[Poly, ...]
     staircase: Tuple[Monomial, ...]
 
@@ -184,14 +189,7 @@ class StandardBasis:
 
 # ---------------------------------------------------------------------------
 # internal vector representation: dict[(component, exponent tuple)] -> int
-# (Fraction only in the monic vectors _minimalize returns).  Exponent
-# tuples carry one extra last slot for the homogenizing variable.
-
-def _order_key(mono: Monomial):
-    """The engine's one term order (see module docstring); smaller key
-    means greater monomial."""
-    return (sum(mono) - mono[-1], mono[-2::-1])
-
+# (Fraction only in the monic vectors _minimalize returns).
 
 class _Vec:
     __slots__ = ("terms", "_lead", "_maxdeg")
@@ -207,7 +205,7 @@ class _Vec:
     def lead(self):
         # Greatest term: least (component, order key).
         if self._lead is None and self.terms:
-            key = min(self.terms, key=lambda cm: (cm[0], _order_key(cm[1])))
+            key = min(self.terms, key=lambda cm: (cm[0], sort_key(cm[1])))
             self._lead = (key, self.terms[key])
         return self._lead
 
@@ -230,15 +228,15 @@ def _vec_from_components(components: Sequence[Poly]) -> _Vec:
     terms = {}
     for comp, poly in enumerate(components):
         for m, c in poly.terms.items():
-            terms[(comp, m + (0,))] = c.numerator * (den // c.denominator)
+            terms[(comp, m)] = c.numerator * (den // c.denominator)
     return _Vec(terms)
 
 
 def _components(vec: _Vec, rank: int, ring: RingContext) -> List[Poly]:
-    """The rank rational component polynomials of vec, slot dropped."""
+    """The rank rational component polynomials of vec."""
     buckets: List[dict] = [dict() for _ in range(rank)]
     for (comp, m), c in vec.terms.items():
-        buckets[comp][m[:-1]] = Fraction(c)
+        buckets[comp][m] = Fraction(c)
     return [Poly(ring, b) for b in buckets]
 
 
@@ -313,7 +311,7 @@ def _mora_normal_form(f: _Vec, reducers: Sequence[_Vec]) -> _Vec:
                 continue
             # least écart first; ties go to the smaller leading monomial
             # (the larger order key), then first found.
-            gk = _order_key(gmono)
+            gk = sort_key(gmono)
             key = (g.ecart(), -gk[0], tuple(-x for x in gk[1]), idx)
             if best is None or key < best_key:
                 best, best_key = g, key
@@ -327,36 +325,26 @@ def _mora_normal_form(f: _Vec, reducers: Sequence[_Vec]) -> _Vec:
     return h
 
 
-def _homogenize(v: _Vec) -> _Vec:
-    degree = v.maxdeg()
-    return _Vec({(c, m[:-1] + (degree - sum(m),)): coeff for (c, m), coeff in v.terms.items()})
-
-
-def _dehomogenize(v: _Vec) -> _Vec:
-    out = _Vec({(c, m[:-1] + (0,)): coeff for (c, m), coeff in v.terms.items()})
-    # The order key ignores the slot, so the lead is the same term.
-    (comp, mono), coeff = v.lead()
-    out._lead = ((comp, mono[:-1] + (0,)), coeff)
-    return out
-
-
 # Steps between two content removals in _global_normal_form.
 _CONTENT_EVERY = 8
 
 
-def _global_normal_form(h: dict, reducers: Sequence[_Vec]) -> _Vec:
-    """Plain lead reduction of the terms h of a homogeneous vector, in
-    place (see module docstring); terminates as is."""
-    # Candidates in choice order: fewest terms, then greatest lead degree,
-    # then greatest lead, then first listed.  The first divisor wins.
+def _global_normal_form(h: dict, degree: int, reducers: Sequence[_Vec],
+                        exps: Sequence[int]) -> _Vec:
+    """Plain lead reduction of the terms h of a homogeneous vector of
+    degree `degree`, in place (see module docstring); exps[i] is the
+    exponent of t in the lead of reducers[i].  Terminates as is."""
+    # Candidates in choice order: fewest terms, then greatest homogenized
+    # lead degree, then greatest lead, then first listed.  The first
+    # divisor wins.
     choice = []
-    for idx, g in enumerate(reducers):
+    for idx, (g, e) in enumerate(zip(reducers, exps)):
         (comp, m), _ = g.lead()
-        choice.append(((len(g.terms), -sum(m), _order_key(m), idx), comp, m, g))
+        choice.append(((len(g.terms), -sum(m) - e, sort_key(m), idx), comp, m, e, g))
     choice.sort()
     # (component, order key, term): the key is unique among the terms of
     # one homogeneous vector, so only entries for the same term tie.
-    heap = [(comp, _order_key(m), (comp, m)) for comp, m in h]
+    heap = [(comp, sort_key(m), (comp, m)) for comp, m in h]
     heapq.heapify(heap)
     steps = 0
     while heap:
@@ -365,13 +353,14 @@ def _global_normal_form(h: dict, reducers: Sequence[_Vec]) -> _Vec:
             heapq.heappop(heap)  # cancelled since it was pushed
             continue
         hcomp, hmono = lead
-        for _, gcomp, gmono, g in choice:
-            if gcomp == hcomp and mono_divides(gmono, hmono):
+        hexp = degree - sum(hmono)
+        for _, gcomp, gmono, gexp, g in choice:
+            if gcomp == hcomp and gexp <= hexp and mono_divides(gmono, hmono):
                 break
         else:
             break  # the lead is irreducible
         for k in _reduce_at(h, lead, g):
-            heapq.heappush(heap, (k[0], _order_key(k[1]), k))
+            heapq.heappush(heap, (k[0], sort_key(k[1]), k))
         steps += 1
         if steps % _CONTENT_EVERY == 0:
             content = gcd(*h.values())
@@ -389,24 +378,26 @@ def _global_normal_form(h: dict, reducers: Sequence[_Vec]) -> _Vec:
 
 
 def _buchberger(gens: Sequence[_Vec], rank: int) -> List[_Vec]:
-    """Buchberger completion of homogeneous vectors."""
-    G: List[_Vec] = []
-    for g in gens:
-        if g:
-            G.append(_vec_primitive(g))
+    """Homogenized Buchberger completion (see module docstring), with t
+    set to 1 in the result."""
+    G = [_vec_primitive(g) for g in gens if g]
+    # exps[i] is the exponent of t in the lead of G[i]: a generator is
+    # homogenized to its largest term degree, so that is its écart.
+    exps = [g.ecart() for g in G]
 
     def lead_of(i):
         return G[i].lead()[0]
 
-    # Heap entries are (lcm degree, component, order key of lcm, i, j, lcm).
-    # The key is a total order and (i, j) is unique, so lcm is never
-    # compared and pairs pop in ascending key order.
+    # Heap entries are (homogenized lcm degree, component, order key of
+    # lcm, i, j, lcm).  The key is a total order and (i, j) is unique, so
+    # lcm is never compared and pairs pop in ascending key order.
     pairs: list = []
 
     def push(i, j):
         (comp, mi) = lead_of(i)
         lcm_ij = mono_lcm(mi, lead_of(j)[1])
-        heapq.heappush(pairs, (sum(lcm_ij), comp, _order_key(lcm_ij), i, j, lcm_ij))
+        degree = sum(lcm_ij) + max(exps[i], exps[j])
+        heapq.heappush(pairs, (degree, comp, sort_key(lcm_ij), i, j, lcm_ij))
 
     for i in range(len(G)):
         for j in range(i + 1, len(G)):
@@ -415,18 +406,19 @@ def _buchberger(gens: Sequence[_Vec], rank: int) -> List[_Vec]:
     done = set()
 
     while pairs:
-        _, comp, _, i, j, lcm_ij = heapq.heappop(pairs)
+        degree, comp, _, i, j, lcm_ij = heapq.heappop(pairs)
         done.add((i, j))
         mi = lead_of(i)[1]
         mj = lead_of(j)[1]
-        if rank == 1 and lcm_ij == mono_mul(mi, mj):
+        if rank == 1 and min(exps[i], exps[j]) == 0 and lcm_ij == mono_mul(mi, mj):
             continue  # product criterion; sound for ideals only
+        lcm_exp = max(exps[i], exps[j])
         skip = False
         for k in range(len(G)):
             if k in (i, j):
                 continue
             (kcomp, mk) = lead_of(k)
-            if kcomp != comp or not mono_divides(mk, lcm_ij):
+            if kcomp != comp or exps[k] > lcm_exp or not mono_divides(mk, lcm_ij):
                 continue
             pik = (min(i, k), max(i, k))
             pjk = (min(j, k), max(j, k))
@@ -435,22 +427,17 @@ def _buchberger(gens: Sequence[_Vec], rank: int) -> List[_Vec]:
                 break
         if skip:
             continue
-        h = _global_normal_form(_s_vector(G[i], G[j], lcm_ij), G)
+        h = _global_normal_form(_s_vector(G[i], G[j], lcm_ij), degree, G, exps)
         if not h:
             continue
         G.append(h)
+        exps.append(degree - sum(h.lead()[0][1]))
         new = len(G) - 1
         (ncomp, _) = lead_of(new)
         for k in range(new):
             if lead_of(k)[0] == ncomp:
                 push(k, new)
     return G
-
-
-def _complete_basis(gens: Sequence[_Vec], rank: int) -> List[_Vec]:
-    """Reduced standard basis via homogenization (see module docstring)."""
-    hom = [_homogenize(v) for v in gens if v]
-    return _minimalize([_dehomogenize(v) for v in _buchberger(hom, rank)])
 
 
 def _absorb_unit_factor(v: _Vec) -> _Vec:
@@ -471,10 +458,10 @@ def _minimalize(G: List[_Vec]) -> List[_Vec]:
     kept: List[_Vec] = []
     kept_leads: List[Tuple[int, Monomial]] = []
     # A divisor has smaller or equal degree, and the order key starts with
-    # the degree (the slot is 0 here), so one sort by (component, order
-    # key) scans low degree first within each component and leaves the
-    # kept vectors in their final order.
-    for v in sorted(G, key=lambda v: (v.lead()[0][0], _order_key(v.lead()[0][1]))):
+    # the degree, so one sort by (component, order key) scans low degree
+    # first within each component and leaves the kept vectors in their
+    # final order.
+    for v in sorted(G, key=lambda v: (v.lead()[0][0], sort_key(v.lead()[0][1]))):
         comp, mono = v.lead()[0]
         if any(c == comp and mono_divides(m, mono) for c, m in kept_leads):
             continue
@@ -516,9 +503,9 @@ def normal_form(f: Poly, basis: Iterable[Poly]) -> Poly:
 def standard_basis(ideal: Ideal) -> StandardBasis:
     """Reduced standard basis of the ideal in the local ring."""
     ring = ideal.ring
-    basis = _complete_basis([_vec_from_components([g]) for g in ideal.generators], 1)
+    basis = _minimalize(_buchberger([_vec_from_components([g]) for g in ideal.generators], 1))
     elements = tuple(_components(v, 1, ring)[0] for v in basis)
-    staircase = tuple(v.lead()[0][1][:-1] for v in basis)
+    staircase = tuple(v.lead()[0][1] for v in basis)
     return StandardBasis(ring, LOCAL_ORDER, elements, staircase)
 
 
@@ -562,7 +549,7 @@ def _module_basis(rank: int, gens: Sequence[FreeModuleElement]) -> List[_Vec]:
     generator is zero)."""
     _check_module_gens(rank, gens)
     vecs = [_vec_from_components(g.components) for g in gens if not g.is_zero()]
-    return _complete_basis(vecs, rank)
+    return _minimalize(_buchberger(vecs, rank))
 
 
 def module_standard_basis(rank: int, gens: Sequence[FreeModuleElement]) -> List[FreeModuleElement]:
@@ -579,6 +566,6 @@ def module_colength(rank: int, gens: Sequence[FreeModuleElement]):
     per_component: List[List[Monomial]] = [[] for _ in range(rank)]
     for v in basis:
         (comp, mono) = v.lead()[0]
-        per_component[comp].append(mono[:-1])
+        per_component[comp].append(mono)
     counts = [_staircase_count(leads, gens[0].ring.nvars) for leads in per_component]
     return INFINITE if INFINITE in counts else sum(counts)

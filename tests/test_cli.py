@@ -3,7 +3,7 @@ import os
 
 import pytest
 
-from detindex.cli import main
+from detindex.cli import build_parser, main
 
 from conftest import time_limit
 
@@ -329,6 +329,15 @@ def test_entry_errors_name_field_and_position(tmp_path, capsys, field, entries, 
     assert err.startswith("error: " + message)
 
 
+@pytest.mark.parametrize("entry", ["7" * 5000 + "*x", "x^" + "7" * 5000])
+def test_numeral_past_the_digit_limit_names_field(tmp_path, capsys, entry):
+    path = write_manifest(tmp_path, {"variables": ["x", "y"], "ideal": [entry, "y"]})
+    code, out, err = run_cli(capsys, "colength", path)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: manifest field 'ideal': entry [0]: numeral too long")
+
+
 def run_usage(capsys, *argv):
     with pytest.raises(SystemExit) as exc:
         main(list(argv))
@@ -348,6 +357,10 @@ def test_usage_errors_exit_one(capsys, argv, message):
     assert out == ""
     assert err.startswith("usage: detindex")
     assert message in err
+
+
+def test_parser_is_built_once():
+    assert build_parser() is build_parser()
 
 
 def test_help_exits_zero(capsys):

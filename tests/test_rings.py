@@ -3,10 +3,10 @@ import random
 import pytest
 
 from detindex import (
-    LOCAL_ORDER,
     PolyParseError,
     RingContext,
     parse_poly,
+    sort_key,
 )
 
 from conftest import random_poly
@@ -66,6 +66,14 @@ def test_parse_deep_nesting_is_a_parse_error(ring_xy):
     with pytest.raises(PolyParseError, match="nested too deeply") as err:
         P("(" * 3000 + "x" + ")" * 3000, ring_xy)
     assert err.value.position == 100
+
+
+@pytest.mark.parametrize("src, position", [("7" * 5000 + "*x", 0), ("x^" + "7" * 5000, 2)])
+def test_parse_numeral_past_the_digit_limit_is_a_parse_error(ring_xy, src, position):
+    # Was a ValueError from int(): past the interpreter's 4300-digit limit.
+    with pytest.raises(PolyParseError, match="numeral too long") as err:
+        P(src, ring_xy)
+    assert err.value.position == position
 
 
 def test_render_parse_round_trip_specific(ring_xyzu):
@@ -150,7 +158,7 @@ def test_leibniz_rule_randomized(ring_xyz):
 # -- the local order ----------------------------------------------------------
 # A smaller sort key means a greater monomial.
 
-key = LOCAL_ORDER.sort_key
+key = sort_key
 
 
 def test_one_is_greatest():

@@ -1,3 +1,4 @@
+import heapq
 import math
 import random
 from fractions import Fraction
@@ -27,11 +28,10 @@ from detindex import (
 )
 
 from detindex import standard_bases
-from detindex.rings import mono_div, mono_divides, mono_lcm, mono_mul
+from detindex.rings import mono_div, mono_divides, mono_lcm, mono_mul, sort_key
 from detindex.standard_bases import (
     _Vec,
     _global_normal_form,
-    _order_key,
     _s_vector,
     _vec_from_components,
     _vec_primitive,
@@ -90,31 +90,18 @@ def test_normal_form_rejects_reducers_from_another_ring(ring_xy, ring_xyz):
         normal_form(P("x", ring_xyz), [P("x", ring_xy)])
 
 
-# -- the engine's order key ------------------------------------------------------
-
-def test_order_key_is_the_local_order_with_the_slot_cleared():
-    rng = random.Random(5)
-    for nvars in (1, 2, 3, 4):
-        monos = [tuple(rng.randint(0, 4) for _ in range(nvars)) for _ in range(200)]
-        by_engine = sorted(monos, key=lambda m: _order_key(m + (0,)))
-        assert by_engine == sorted(monos, key=LOCAL_ORDER.sort_key)
-
-
-def test_order_key_is_the_local_order_within_one_total_degree():
-    rng = random.Random(6)
-    for nvars in (1, 2, 3, 4):
-        for degree in (0, 3, 7):
-            monos = []
-            for _ in range(100):
-                m = [0] * nvars
-                for _ in range(rng.randint(0, degree)):
-                    m[rng.randrange(nvars)] += 1
-                monos.append(tuple(m) + (degree - sum(m),))
-            by_engine = sorted(monos, key=_order_key)
-            assert by_engine == sorted(monos, key=lambda m: LOCAL_ORDER.sort_key(m[:-1]))
-
-
 # -- standard bases --------------------------------------------------------------
+
+def test_staircase_lists_the_leading_monomials(ring_xyz):
+    # The engine's leads and Poly.leading come from one order key.
+    rng = random.Random(79)
+    for _ in range(25):
+        gens = [p for p in (random_poly(ring_xyz, rng, allow_constant=False) for _ in range(3)) if p]
+        if not gens:
+            continue
+        sb = standard_basis(Ideal(gens))
+        assert sb.staircase == tuple(e.leading_monomial() for e in sb.elements)
+
 
 def test_unit_factor_absorbed(ring_xy):
     sb = standard_basis(Ideal([P("x - x^2", ring_xy)]))
@@ -424,72 +411,163 @@ def test_ideal_validation(ring_xy, ring_xyz):
         Ideal([ring_xy.variable(0), ring_xyz.variable(0)])
 
 
-# -- the in-place kernel against the copying step it replaced ---------------------
+# -- the engine against copying, step-by-step references ---------------------------
 
-def _reference_cancel(f, fshift, g, gshift):
-    """gc * x^fshift * f - fc * x^gshift * g, made primitive, where fc and
-    gc are the lead coefficients of f and g divided by their gcd, built in
-    a fresh dict.  A None fshift leaves f unmultiplied."""
-    fc = f.lead()[1]
-    gc = g.lead()[1]
+def _lead(terms, key):
+    """(term, coefficient) of the greatest term of a terms dict under key."""
+    lead = min(terms, key=lambda cm: (cm[0], key(cm[1])))
+    return lead, terms[lead]
+
+
+def _reference_primitive(terms, key):
+    """terms divided by their content, signed so that the lead under key
+    is positive."""
+    if not terms:
+        return terms
+    content = math.gcd(*terms.values())
+    if _lead(terms, key)[1] < 0:
+        content = -content
+    return {k: c // content for k, c in terms.items()}
+
+
+def _reference_cancel(f, fc, fshift, g, gc, gshift, key=sort_key):
+    """gc * x^fshift * f - fc * x^gshift * g for terms dicts f and g with
+    lead coefficients fc and gc, these divided by their gcd, built in a
+    fresh dict and made primitive under key.  A None fshift leaves f
+    unmultiplied."""
     d = math.gcd(fc, gc)
     fc, gc = fc // d, gc // d
     if fshift is None:
-        out = {k: c * gc for k, c in f.terms.items()}
+        out = {k: c * gc for k, c in f.items()}
     else:
-        out = {(comp, mono_mul(m, fshift)): c * gc for (comp, m), c in f.terms.items()}
-    for (comp, m), c in g.terms.items():
-        key = (comp, mono_mul(m, gshift))
+        out = {(comp, mono_mul(m, fshift)): c * gc for (comp, m), c in f.items()}
+    for (comp, m), c in g.items():
+        k = (comp, mono_mul(m, gshift))
         delta = c * fc
-        if key in out:
-            s = out[key] - delta
+        if k in out:
+            s = out[k] - delta
             if s:
-                out[key] = s
+                out[k] = s
             else:
-                del out[key]
+                del out[k]
         else:
-            out[key] = -delta
-    return _vec_primitive(_Vec(out))
+            out[k] = -delta
+    return _reference_primitive(out, key)
 
 
-def _reference_reduce_step(h, g):
-    """Cancel the lead of h against g."""
-    return _reference_cancel(h, None, g, mono_div(h.lead()[0][1], g.lead()[0][1]))
+def _reference_reduce_step(h, hlead, g, glead, key=sort_key):
+    """Cancel the lead of h against g: terms dicts with their leads."""
+    shift = mono_div(hlead[0][1], glead[0][1])
+    return _reference_cancel(h, hlead[1], None, g, glead[1], shift, key)
 
 
 def _reference_spair(gi, gj):
-    mi = gi.lead()[0][1]
-    mj = gj.lead()[0][1]
+    (_, mi), ci = _lead(gi, sort_key)
+    (_, mj), cj = _lead(gj, sort_key)
     lcm_ij = mono_lcm(mi, mj)
-    return _reference_cancel(gi, mono_div(lcm_ij, mi), gj, mono_div(lcm_ij, mj))
+    return _reference_cancel(gi, ci, mono_div(lcm_ij, mi), gj, cj, mono_div(lcm_ij, mj))
 
 
-def _reference_s_vector(gi, gj, lcm_ij):
-    """Stands in for `_s_vector` in the completion."""
-    assert mono_lcm(gi.lead()[0][1], gj.lead()[0][1]) == lcm_ij
-    return dict(_reference_spair(gi, gj).terms)
+def _slot_key(mono):
+    """The order of the completion on a monomial whose last exponent is
+    the homogenizing variable's: the local order on the other variables,
+    which is graded on the terms of one homogeneous vector."""
+    return (sum(mono) - mono[-1], mono[-2::-1])
 
 
-def _reference_global_normal_form(terms, reducers, ties=None):
-    """Lead reduction one primitive copying step at a time, choosing
-    among all divisors by (terms, -lead degree, lead order key, index):
-    the reducer before it ran in place.  Appends to ties the lead of each
-    step where more than one divisor had the fewest terms."""
-    h = _vec_primitive(_Vec(dict(terms)))
+def _homogenized(terms, degree):
+    """The terms of a vector of homogenized degree `degree`, with the
+    homogenizing exponent stored as a last slot."""
+    return {(comp, m + (degree - sum(m),)): c for (comp, m), c in terms.items()}
+
+
+def _dehomogenized(terms):
+    return _Vec({(comp, m[:-1]): c for (comp, m), c in terms.items()})
+
+
+def _reference_slot_normal_form(h, reducers, leads, ties=None):
+    """Lead reduction of the explicitly homogenized terms h against the
+    explicitly homogenized reducers, whose leads are given, one primitive
+    copying step at a time, choosing among all divisors by (terms, -lead
+    degree, lead order key, index).  Appends to ties the lead of each step
+    where more than one divisor had the fewest terms."""
+    h = _reference_primitive(h, _slot_key)
     while h:
-        (hcomp, hmono), _ = h.lead()
+        hlead = _lead(h, _slot_key)
+        (hcomp, hmono), _ = hlead
         keyed = []
-        for idx, g in enumerate(reducers):
-            (gcomp, gmono), _ = g.lead()
+        for idx, (g, glead) in enumerate(zip(reducers, leads)):
+            (gcomp, gmono), _ = glead
             if gcomp == hcomp and mono_divides(gmono, hmono):
-                keyed.append(((len(g.terms), -sum(gmono), _order_key(gmono), idx), g))
+                keyed.append(((len(g), -sum(gmono), _slot_key(gmono), idx), g, glead))
         if not keyed:
-            return h
+            break
         keyed.sort(key=lambda kg: kg[0])
         if ties is not None and len(keyed) > 1 and keyed[0][0][0] == keyed[1][0][0]:
             ties.append(hmono)
-        h = _reference_reduce_step(h, keyed[0][1])
+        _, g, glead = keyed[0]
+        h = _reference_reduce_step(h, hlead, g, glead, _slot_key)
     return h
+
+
+def _reference_global_normal_form(terms, degree, reducers, exps, ties=None):
+    """`_global_normal_form` on explicitly homogenized vectors, where
+    divisibility covers the homogenizing exponent: the reducer before it
+    ran in place on vectors without that exponent.  exps[i] is the
+    homogenizing exponent of the lead of reducers[i]."""
+    homogenized = [_homogenized(g.terms, sum(g.lead()[0][1]) + e) for g, e in zip(reducers, exps)]
+    leads = [_lead(g, _slot_key) for g in homogenized]
+    return _dehomogenized(_reference_slot_normal_form(_homogenized(terms, degree), homogenized, leads, ties))
+
+
+def _reference_buchberger(gens, rank):
+    """Stands in for `_buchberger`: the completion on explicitly
+    homogenized vectors, each generator to its largest term degree, so
+    every lead, lcm, pair degree and criterion sees the homogenizing
+    exponent.  Pairs and reductions run as in the engine, but each
+    S-vector is built whole and reduced step by step."""
+    G = []
+    for g in gens:
+        if g:
+            terms = _vec_primitive(g).terms
+            G.append(_homogenized(terms, max(sum(m) for _, m in terms)))
+    leads = [_lead(g, _slot_key) for g in G]
+
+    def lead_of(i):
+        return leads[i][0]
+
+    pairs = []
+
+    def push(i, j):
+        comp, mi = lead_of(i)
+        lcm_ij = mono_lcm(mi, lead_of(j)[1])
+        heapq.heappush(pairs, (sum(lcm_ij), comp, _slot_key(lcm_ij), i, j, lcm_ij))
+
+    for j in range(len(G)):
+        for i in range(j):
+            if lead_of(i)[0] == lead_of(j)[0]:
+                push(i, j)
+    done = set()
+    while pairs:
+        _, comp, _, i, j, lcm_ij = heapq.heappop(pairs)
+        done.add((i, j))
+        mi, mj = lead_of(i)[1], lead_of(j)[1]
+        if rank == 1 and lcm_ij == mono_mul(mi, mj):
+            continue  # coprime homogenized leads
+        if any(k not in (i, j) and lead_of(k)[0] == comp and mono_divides(lead_of(k)[1], lcm_ij)
+               and (min(i, k), max(i, k)) in done and (min(j, k), max(j, k)) in done
+               for k in range(len(G))):
+            continue  # chain criterion
+        s_pair = _reference_cancel(G[i], leads[i][1], mono_div(lcm_ij, mi),
+                                   G[j], leads[j][1], mono_div(lcm_ij, mj), _slot_key)
+        h = _reference_slot_normal_form(s_pair, G, leads)
+        if h:
+            G.append(h)
+            leads.append(_lead(h, _slot_key))
+            for k in range(len(G) - 1):
+                if lead_of(k)[0] == lead_of(len(G) - 1)[0]:
+                    push(k, len(G) - 1)
+    return [_dehomogenized(g) for g in G]
 
 
 def _reference_mora_normal_form(f, reducers, grown):
@@ -504,7 +582,7 @@ def _reference_mora_normal_form(f, reducers, grown):
             (gcomp, gmono), _ = g.lead()
             if gcomp != hcomp or not mono_divides(gmono, hmono):
                 continue
-            gk = _order_key(gmono)
+            gk = sort_key(gmono)
             key = (g.ecart(), -gk[0], tuple(-x for x in gk[1]), idx)
             if best is None or key < best_key:
                 best, best_key = g, key
@@ -513,19 +591,20 @@ def _reference_mora_normal_form(f, reducers, grown):
         if best.ecart() > h.ecart():
             T.append(h)
             grown.append(hmono)
-        h = _reference_reduce_step(h, best)
+        h = _Vec(_reference_reduce_step(h.terms, h.lead(), best.terms, best.lead()))
     return h
 
 
 def _random_homogeneous_vec(rng, nvars, rank, degree, nterms):
-    """Primitive vector whose terms all have total degree `degree`, the
-    homogenizing slot included."""
+    """Primitive vector of homogenized degree `degree`, as the engine keeps
+    it: each term's degree is shared out among the nvars variables and the
+    homogenizing one, whose exponent is then dropped."""
     terms = {}
     for _ in range(nterms):
         mono = [0] * (nvars + 1)
         for _ in range(degree):
             mono[rng.randrange(nvars + 1)] += 1
-        terms[(rng.randrange(rank), tuple(mono))] = rng.choice((-6, -3, -2, -1, 1, 2, 3, 4, 9))
+        terms[(rng.randrange(rank), tuple(mono[:-1]))] = rng.choice((-6, -3, -2, -1, 1, 2, 3, 4, 9))
     return _vec_primitive(_Vec(terms))
 
 
@@ -545,7 +624,7 @@ def test_s_vector_made_primitive_matches_reference(rank):
         if ci != cj:
             continue
         got = _vec_primitive(_Vec(_s_vector(gi, gj, mono_lcm(mi, mj))))
-        assert got.terms == _reference_spair(gi, gj).terms
+        assert got.terms == _reference_spair(gi.terms, gj.terms)
         pairs += 1
         zero += not got
         scaled += ai % aj != 0  # gc != 1: the kernel scales h
@@ -582,14 +661,18 @@ def test_in_place_reducer_matches_step_by_step_reference(rank):
     ties, reduced = [], 0
     for _ in range(60):
         # eight reducers of 1-3 terms: several share a length
-        reducers = [
-            _random_homogeneous_vec(rng, 3, rank, rng.randint(1, 3), rng.randint(1, 3))
-            for _ in range(8)
-        ]
-        f = _random_homogeneous_vec(rng, 3, rank, rng.randint(3, 6), rng.randint(4, 12))
-        expected = _reference_global_normal_form(f.terms, reducers, ties)
+        reducers, exps = [], []
+        for _ in range(8):
+            degree = rng.randint(1, 3)
+            g = _random_homogeneous_vec(rng, 3, rank, degree, rng.randint(1, 3))
+            reducers.append(g)
+            exps.append(degree - sum(g.lead()[0][1]))
+        degree = rng.randint(3, 6)
+        f = _random_homogeneous_vec(rng, 3, rank, degree, rng.randint(4, 12))
+        expected = _reference_global_normal_form(f.terms, degree, reducers, exps, ties)
         with time_limit(10):
-            assert _global_normal_form(dict(f.terms), reducers).terms == expected.terms
+            got = _global_normal_form(dict(f.terms), degree, reducers, exps)
+            assert got.terms == expected.terms
         reduced += expected.terms != f.terms
     assert reduced > 40
     assert len(ties) > 20
@@ -608,25 +691,55 @@ def _dense_ideal(k):
     return ideal(ring, "(x + 2*y - 3*z + 5*u)^%d" % k, *("%s^%d" % (v, k) for v in "xyzu"))
 
 
+def _random_ideals():
+    """Inhomogeneous ideals in two and three variables, so leads carry
+    homogenizing exponents and some pairs of coprime leads need reducing."""
+    rng = random.Random(80)
+    ideals = []
+    for variables in (("x", "y"), ("x", "y", "z")):
+        ring = RingContext(variables)
+        for _ in range(15):
+            gens = [random_poly(ring, rng, 4, 4, allow_constant=False) for _ in range(rng.randint(2, 4))]
+            ideals.append(Ideal([g for g in gens if g] or [ring.variable(0)]))
+    return ideals
+
+
+def _coprime_leads_ideal():
+    """An ideal with a pair of coprime leads whose homogenized leads share
+    the homogenizing variable: the completion reduces that pair, and its
+    basis changes if the pair is skipped."""
+    ring = RingContext(("x", "y", "z"))
+    return [ideal(ring, "y^2", "-5*y*z - 2*z^3 + 5*x^3*z", "-y + x^2 + 2*x^2*z - 5*y^2*z",
+                  "x + 4*z - 2*x*y + x*y*z^2")]
+
+
 @pytest.mark.parametrize("make", [
-    lambda: _dense_ideal(4),
-    lambda: _dense_ideal(5),
-    lambda: algebra_ideal(*_threefold_and_form()),
-], ids=["dense-k4", "dense-k5", "threefold-algebra"])
+    lambda: [_dense_ideal(4)],
+    lambda: [_dense_ideal(5)],
+    lambda: [algebra_ideal(*_threefold_and_form())],
+    _coprime_leads_ideal,
+    _random_ideals,
+], ids=["dense-k4", "dense-k5", "threefold-algebra", "coprime-leads", "random"])
 def test_completion_matches_step_by_step_reference(monkeypatch, make):
-    I = make()
-    got = standard_basis(I)
-    monkeypatch.setattr(standard_bases, "_s_vector", _reference_s_vector)
-    monkeypatch.setattr(standard_bases, "_global_normal_form", _reference_global_normal_form)
-    assert standard_basis(I) == got
+    ideals = make()
+    with time_limit(20):
+        got = [standard_basis(I) for I in ideals]
+    monkeypatch.setattr(standard_bases, "_buchberger", _reference_buchberger)
+    assert [standard_basis(I) for I in ideals] == got
 
 
 def test_module_completion_matches_step_by_step_reference(monkeypatch):
     rank, gens = omega_quotient_generators(*_threefold_and_form())
-    got = module_standard_basis(rank, gens)
-    monkeypatch.setattr(standard_bases, "_s_vector", _reference_s_vector)
-    monkeypatch.setattr(standard_bases, "_global_normal_form", _reference_global_normal_form)
-    assert module_standard_basis(rank, gens) == got
+    ring = RingContext(("x", "y", "z"))
+    rng = random.Random(81)
+    modules = [(rank, gens)] + [
+        (2, [FreeModuleElement(2, [random_poly(ring, rng, allow_constant=False) for _ in range(2)])
+             for _ in range(3)])
+        for _ in range(10)]
+    with time_limit(20):
+        got = [module_standard_basis(r, g) for r, g in modules]
+    monkeypatch.setattr(standard_bases, "_buchberger", _reference_buchberger)
+    assert [module_standard_basis(r, g) for r, g in modules] == got
 
 
 def test_dense_k7_colength_within_time_bound():
