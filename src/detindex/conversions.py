@@ -23,7 +23,7 @@ def _sign(k: int) -> int:
 class StrataIndexData:
     """Per-stratum topological inputs for the conversion formulas.
 
-    radial[i-1] is the radial index of the form on the rank < i+... locus
+    radial[i-1] is the radial index of the form on the rank < i locus
     X_i, chi[i-1] the Euler characteristic of an essential smoothing of
     X_i, for i = 1..t.  The deepest slot X_0 = {origin} is a convention
     (radial index 1, Euler characteristic 0), not an input.

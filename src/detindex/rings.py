@@ -123,6 +123,18 @@ def sort_key(mono: Monomial):
 LOCAL_ORDER = "anti-graded reverse lexicographic"
 
 
+def _add_term(terms: dict, m: Monomial, c) -> None:
+    """Add c to the coefficient of m in terms, dropping m if it cancels."""
+    if m not in terms:
+        terms[m] = c
+        return
+    s = terms[m] + c
+    if s:
+        terms[m] = s
+    else:
+        del terms[m]
+
+
 class Poly:
     """Immutable multivariate polynomial in canonical form (no zero terms)."""
 
@@ -191,14 +203,7 @@ class Poly:
         self._check_ring(other)
         out = dict(self.terms)
         for m, c in other.terms.items():
-            if m in out:
-                s = out[m] + c
-                if s:
-                    out[m] = s
-                else:
-                    del out[m]
-            else:
-                out[m] = c
+            _add_term(out, m, c)
         return Poly(self.ring, out)
 
     def __neg__(self) -> "Poly":
@@ -214,16 +219,7 @@ class Poly:
         out: dict = {}
         for ma, ca in self.terms.items():
             for mb, cb in other.terms.items():
-                m = mono_mul(ma, mb)
-                prod = ca * cb
-                if m in out:
-                    s = out[m] + prod
-                    if s:
-                        out[m] = s
-                    else:
-                        del out[m]
-                else:
-                    out[m] = prod
+                _add_term(out, mono_mul(ma, mb), ca * cb)
         return Poly(self.ring, out)
 
     def __pow__(self, exponent: int) -> "Poly":
@@ -249,16 +245,7 @@ class Poly:
                 continue
             dm = list(m)
             dm[index] = e - 1
-            dc = c * e
-            key = tuple(dm)
-            if key in out:
-                s = out[key] + dc
-                if s:
-                    out[key] = s
-                else:
-                    del out[key]
-            else:
-                out[key] = dc
+            _add_term(out, tuple(dm), c * e)
         return Poly(self.ring, out)
 
     # -- rendering -----------------------------------------------------------

@@ -51,17 +51,20 @@ ideal case (the product criterion is not sound for submodules of free
 modules), and the classical chain criterion prunes pairs dominated by an
 already-treated element.
 
-Coefficients are rationals (``Fraction``) at the public functions and
-Python ints inside the engine.  Denominators are cleared once on the way
-in, and every vector the engine makes is kept primitive: integer
+The engine is integer-only.  Coefficients are rationals (``Fraction``)
+at the public functions; denominators are cleared once on the way in,
+and every vector the engine makes is kept primitive: integer
 coefficients with content 1 and a positive leading coefficient.  That
 representative is unique, so the reduction steps are fraction-free.
-Results turn back into rationals only when a basis is made monic and
-when normal_form returns.
+Rationals are made in one exit helper, _components, and only for a
+returned result: a basis vector is divided by its leading coefficient
+there, a normal_form remainder is not.  Colength queries read the
+leads alone and make no rational.
 
-Both ideals in the ring and submodules of a free module O^r are handled
-by one engine; module terms are keyed by (component, exponent tuple)
-with position-over-term order, earlier components first.
+An ideal is the rank-1 case of a submodule of a free module O^r
+(Greuel-Pfister, section 2.3): it enters the one completion with one
+rank-1 vector per generator.  Terms are keyed by (component, exponent
+tuple) with position-over-term order, earlier components first.
 
 Colength queries count the standard monomials (those no leading
 monomial divides) from the leads alone, by slices in the exponent of
@@ -184,12 +187,11 @@ class StandardBasis:
         return not self.normal_form(f)
 
     def colength(self):
-        return _staircase_count(self.staircase, self.ring.nvars)
+        return _staircase_count(self.staircase)
 
 
 # ---------------------------------------------------------------------------
 # internal vector representation: dict[(component, exponent tuple)] -> int
-# (Fraction only in the monic vectors _minimalize returns).
 
 class _Vec:
     __slots__ = ("terms", "_lead", "_maxdeg")
@@ -232,11 +234,12 @@ def _vec_from_components(components: Sequence[Poly]) -> _Vec:
     return _Vec(terms)
 
 
-def _components(vec: _Vec, rank: int, ring: RingContext) -> List[Poly]:
-    """The rank rational component polynomials of vec."""
+def _components(vec: _Vec, rank: int, ring: RingContext, scale: int = 1) -> List[Poly]:
+    """The rank rational component polynomials of vec / scale: the one
+    place the engine makes rationals."""
     buckets: List[dict] = [dict() for _ in range(rank)]
     for (comp, m), c in vec.terms.items():
-        buckets[comp][m] = Fraction(c)
+        buckets[comp][m] = Fraction(c, scale)
     return [Poly(ring, b) for b in buckets]
 
 
@@ -384,9 +387,7 @@ def _buchberger(gens: Sequence[_Vec], rank: int) -> List[_Vec]:
     # exps[i] is the exponent of t in the lead of G[i]: a generator is
     # homogenized to its largest term degree, so that is its écart.
     exps = [g.ecart() for g in G]
-
-    def lead_of(i):
-        return G[i].lead()[0]
+    leads = [g.lead()[0] for g in G]
 
     # Heap entries are (homogenized lcm degree, component, order key of
     # lcm, i, j, lcm).  The key is a total order and (i, j) is unique, so
@@ -394,22 +395,22 @@ def _buchberger(gens: Sequence[_Vec], rank: int) -> List[_Vec]:
     pairs: list = []
 
     def push(i, j):
-        (comp, mi) = lead_of(i)
-        lcm_ij = mono_lcm(mi, lead_of(j)[1])
+        comp, mi = leads[i]
+        lcm_ij = mono_lcm(mi, leads[j][1])
         degree = sum(lcm_ij) + max(exps[i], exps[j])
         heapq.heappush(pairs, (degree, comp, sort_key(lcm_ij), i, j, lcm_ij))
 
     for i in range(len(G)):
         for j in range(i + 1, len(G)):
-            if lead_of(i)[0] == lead_of(j)[0]:
+            if leads[i][0] == leads[j][0]:
                 push(i, j)
     done = set()
 
     while pairs:
         degree, comp, _, i, j, lcm_ij = heapq.heappop(pairs)
         done.add((i, j))
-        mi = lead_of(i)[1]
-        mj = lead_of(j)[1]
+        mi = leads[i][1]
+        mj = leads[j][1]
         if rank == 1 and min(exps[i], exps[j]) == 0 and lcm_ij == mono_mul(mi, mj):
             continue  # product criterion; sound for ideals only
         lcm_exp = max(exps[i], exps[j])
@@ -417,7 +418,7 @@ def _buchberger(gens: Sequence[_Vec], rank: int) -> List[_Vec]:
         for k in range(len(G)):
             if k in (i, j):
                 continue
-            (kcomp, mk) = lead_of(k)
+            kcomp, mk = leads[k]
             if kcomp != comp or exps[k] > lcm_exp or not mono_divides(mk, lcm_ij):
                 continue
             pik = (min(i, k), max(i, k))
@@ -431,11 +432,12 @@ def _buchberger(gens: Sequence[_Vec], rank: int) -> List[_Vec]:
         if not h:
             continue
         G.append(h)
-        exps.append(degree - sum(h.lead()[0][1]))
+        leads.append(h.lead()[0])
+        ncomp, nmono = leads[-1]
+        exps.append(degree - sum(nmono))
         new = len(G) - 1
-        (ncomp, _) = lead_of(new)
         for k in range(new):
-            if lead_of(k)[0] == ncomp:
+            if leads[k][0] == ncomp:
                 push(k, new)
     return G
 
@@ -455,6 +457,8 @@ def _absorb_unit_factor(v: _Vec) -> _Vec:
 
 
 def _minimalize(G: List[_Vec]) -> List[_Vec]:
+    """The vectors of G whose lead no earlier lead divides, in canonical
+    order, each with a unit factor absorbed: primitive integer vectors."""
     kept: List[_Vec] = []
     kept_leads: List[Tuple[int, Monomial]] = []
     # A divisor has smaller or equal degree, and the order key starts with
@@ -467,14 +471,13 @@ def _minimalize(G: List[_Vec]) -> List[_Vec]:
             continue
         kept.append(_absorb_unit_factor(v))
         kept_leads.append((comp, mono))
-    # canonical presentation: leading coefficient 1
-    return [_monic(v) for v in kept]
+    return kept
 
 
-def _monic(v: _Vec) -> _Vec:
-    """Rational vector with leading coefficient 1."""
-    inv = Fraction(1, v.lead()[1])
-    return _Vec({k: c * inv for k, c in v.terms.items()})
+def _complete(rank: int, generators: Iterable[Sequence[Poly]]) -> List[_Vec]:
+    """Minimal standard basis of the submodule of O^rank generated by the
+    given component lists; an ideal is rank 1, one list [g] per generator."""
+    return _minimalize(_buchberger([_vec_from_components(c) for c in generators], rank))
 
 
 # ---------------------------------------------------------------------------
@@ -503,22 +506,25 @@ def normal_form(f: Poly, basis: Iterable[Poly]) -> Poly:
 def standard_basis(ideal: Ideal) -> StandardBasis:
     """Reduced standard basis of the ideal in the local ring."""
     ring = ideal.ring
-    basis = _minimalize(_buchberger([_vec_from_components([g]) for g in ideal.generators], 1))
-    elements = tuple(_components(v, 1, ring)[0] for v in basis)
+    basis = _complete(1, ([g] for g in ideal.generators))
+    elements = tuple(_components(v, 1, ring, v.lead()[1])[0] for v in basis)
     staircase = tuple(v.lead()[0][1] for v in basis)
     return StandardBasis(ring, LOCAL_ORDER, elements, staircase)
 
 
-def _staircase_count(leads: Sequence[Monomial], nvars: int):
-    """Number of monomials in nvars variables that no lead divides, or
-    INFINITE (see module docstring)."""
-    if nvars == 0:
-        return 0 if leads else 1
-    last = nvars - 1
+def _staircase_count(leads: Sequence[Monomial]):
+    """Number of monomials that no lead divides, or INFINITE (see module
+    docstring).  A ring has at least one variable, so no leads leave
+    infinitely many."""
+    if not leads:
+        return INFINITE
+    last = len(leads[0]) - 1
+    if last == 0:
+        return min(m[0] for m in leads)
     bounds = sorted({0, *(m[last] for m in leads)})
     total = 0
     for start, cut in zip(bounds, bounds[1:] + [None]):
-        count = _staircase_count([m[:last] for m in leads if m[last] <= start], last)
+        count = _staircase_count([m[:last] for m in leads if m[last] <= start])
         if count == 0:
             return total  # every later slice has more leads, so is empty too
         if count is INFINITE or cut is None:
@@ -527,9 +533,20 @@ def _staircase_count(leads: Sequence[Monomial], nvars: int):
     return total
 
 
+def _lead_count(basis: Sequence[_Vec], rank: int):
+    """Colength of a submodule of O^rank from its standard basis: the
+    standard monomials of each component, summed, or INFINITE."""
+    per_component: List[List[Monomial]] = [[] for _ in range(rank)]
+    for v in basis:
+        comp, mono = v.lead()[0]
+        per_component[comp].append(mono)
+    counts = [_staircase_count(leads) for leads in per_component]
+    return INFINITE if INFINITE in counts else sum(counts)
+
+
 def colength(ideal: Ideal):
     """Dimension of O_local / ideal over the rationals, or INFINITE."""
-    return standard_basis(ideal).colength()
+    return _lead_count(_complete(1, ([g] for g in ideal.generators)), 1)
 
 
 def _check_module_gens(rank: int, gens: Sequence[FreeModuleElement]) -> None:
@@ -544,28 +561,14 @@ def _check_module_gens(rank: int, gens: Sequence[FreeModuleElement]) -> None:
             raise ValueError("mixed ring contexts in module generators")
 
 
-def _module_basis(rank: int, gens: Sequence[FreeModuleElement]) -> List[_Vec]:
-    """Validated completion of a submodule of O^rank (empty when every
-    generator is zero)."""
-    _check_module_gens(rank, gens)
-    vecs = [_vec_from_components(g.components) for g in gens if not g.is_zero()]
-    return _minimalize(_buchberger(vecs, rank))
-
-
 def module_standard_basis(rank: int, gens: Sequence[FreeModuleElement]) -> List[FreeModuleElement]:
     """Standard basis of a submodule of O^r under position-over-term order."""
-    basis = _module_basis(rank, gens)
-    return [FreeModuleElement(rank, _components(v, rank, gens[0].ring)) for v in basis]
+    _check_module_gens(rank, gens)
+    basis = _complete(rank, (g.components for g in gens))
+    return [FreeModuleElement(rank, _components(v, rank, gens[0].ring, v.lead()[1])) for v in basis]
 
 
 def module_colength(rank: int, gens: Sequence[FreeModuleElement]):
     """Dimension of O^rank / <gens>, or INFINITE."""
-    basis = _module_basis(rank, gens)
-    if not basis:
-        return INFINITE
-    per_component: List[List[Monomial]] = [[] for _ in range(rank)]
-    for v in basis:
-        (comp, mono) = v.lead()[0]
-        per_component[comp].append(mono)
-    counts = [_staircase_count(leads, gens[0].ring.nvars) for leads in per_component]
-    return INFINITE if INFINITE in counts else sum(counts)
+    _check_module_gens(rank, gens)
+    return _lead_count(_complete(rank, (g.components for g in gens)), rank)

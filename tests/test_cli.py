@@ -3,7 +3,7 @@ import os
 
 import pytest
 
-from detindex.cli import build_parser, main
+from detindex.cli import _COMMANDS, build_parser, main, run
 
 from conftest import time_limit
 
@@ -386,3 +386,30 @@ def test_shipped_manifests_validate_against_schema():
         if name.endswith(".json") and name != "manifest.schema.json":
             with open(os.path.join(MANIFEST_DIR, name)) as fh:
                 jsonschema.validate(json.load(fh), schema)
+
+
+GOLDEN = os.path.join(os.path.dirname(__file__), "data", "golden_reports.json")
+
+
+def _golden_argvs():
+    """Every command on every shipped manifest, then each colength
+    command again with the oracle at degree cap 8."""
+    manifests = sorted("manifests/" + name for name in os.listdir(MANIFEST_DIR)
+                       if name.endswith(".json") and name != "manifest.schema.json")
+    argvs = [[command, m] for m in manifests for command in _COMMANDS]
+    argvs += [[command, m, "--oracle", "--degree-cap", "8"]
+              for m in manifests for command, (_, oracle) in _COMMANDS.items() if oracle]
+    return argvs
+
+
+def test_reports_match_the_golden_runs(capsys, monkeypatch):
+    # Exit code, stdout and stderr of each run, recorded once; any change
+    # to a value, a message or the report layout shows here byte for byte.
+    with open(GOLDEN, encoding="utf-8") as fh:
+        golden = json.load(fh)
+    assert [entry["argv"] for entry in golden] == _golden_argvs()
+    monkeypatch.chdir(os.path.join(MANIFEST_DIR, os.pardir))
+    for entry in golden:
+        code = run(entry["argv"])
+        out = capsys.readouterr()
+        assert (code, out.out, out.err) == (entry["code"], entry["stdout"], entry["stderr"]), entry["argv"]

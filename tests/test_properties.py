@@ -76,3 +76,24 @@ def test_rank_one_module_colength_is_the_ideal_colength(gens):
 def test_colength_does_not_depend_on_the_variable_order(gens, data):
     perm = data.draw(st.permutations(range(gens[0].ring.nvars)))
     assert colength(Ideal([_permuted(g, perm) for g in gens])) == colength(Ideal(gens))
+
+
+@st.composite
+def units(draw, ring):
+    """A unit of the local ring: a nonzero rational constant plus zero to
+    two terms of degree 1-2 with small integer coefficients."""
+    constant = Fraction(draw(st.integers(-3, 3).filter(bool)), draw(st.integers(1, 3)))
+    terms = {(0,) * ring.nvars: constant}
+    for _ in range(draw(st.integers(0, 2))):
+        mono = [0] * ring.nvars
+        for _ in range(draw(st.integers(1, 2))):
+            mono[draw(st.integers(0, ring.nvars - 1))] += 1
+        terms[tuple(mono)] = Fraction(draw(st.integers(-3, 3).filter(bool)))
+    return Poly(ring, terms)
+
+
+@settings(derandomize=True, deadline=None, max_examples=40)
+@given(ideals(always_finite=False), st.data())
+def test_colength_does_not_change_under_unit_scaling(gens, data):
+    scaled = [data.draw(units(g.ring)) * g for g in gens]
+    assert colength(Ideal(scaled)) == colength(Ideal(gens))

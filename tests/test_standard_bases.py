@@ -326,8 +326,11 @@ def test_module_colength_sums_component_staircases(ring_xyz):
         assert module_colength(2, first) == INFINITE  # the second component is free
 
 
-def test_module_colength_without_generators_is_infinite():
+def test_module_colength_without_generators_is_infinite(ring_xy):
     assert module_colength(2, []) == INFINITE
+    zero = ring_xy.zero_poly()
+    assert module_colength(2, [FreeModuleElement(2, [zero, zero])]) == INFINITE
+    assert module_colength(1, [FreeModuleElement(1, [zero])] * 2) == INFINITE
 
 
 def test_module_standard_basis_membership(ring_xy):
@@ -747,3 +750,31 @@ def test_dense_k7_colength_within_time_bound():
     # of the monomial complete intersection (x^7, y^7, z^7, u^7).
     with time_limit(20):
         assert colength(_dense_ideal(7)) == 1451
+
+
+def test_completion_returns_primitive_integer_vectors():
+    # The engine stays in the integers up to its exit: the minimalized
+    # basis holds ints, content 1, positive leading coefficient.
+    module_rank, module_gens = omega_quotient_generators(*_threefold_and_form())
+    for rank, components in [(1, [[g] for g in _dense_ideal(4).generators]),
+                             (module_rank, [g.components for g in module_gens])]:
+        vecs = [_vec_from_components(c) for c in components]
+        basis = standard_bases._minimalize(standard_bases._buchberger(vecs, rank))
+        assert basis
+        for v in basis:
+            assert all(type(c) is int for c in v.terms.values())
+            assert math.gcd(*v.terms.values()) == 1 and v.lead()[1] > 0
+
+
+def test_colengths_make_no_rationals(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("a colength converted a basis to rationals")
+
+    monkeypatch.setattr(standard_bases, "_components", refuse)
+    assert colength(_dense_ideal(4)) == 155
+    assert module_colength(*omega_quotient_generators(*_threefold_and_form())) == 8
+
+
+def test_colength_is_the_staircase_count_of_the_basis():
+    for I in _random_ideals():
+        assert colength(I) == standard_basis(I).colength()
