@@ -5,7 +5,10 @@ reducer with the least écart is preferred, and whenever the écart of the
 chosen reducer exceeds that of the partial remainder, the partial
 remainder itself is kept as a future reducer.  This multiplies the input
 by an (implicit) unit of the local ring but terminates on polynomial
-input, which plain division under an anti-graded order does not.
+input, which plain division under an anti-graded order does not.  The
+reducers, T, are kept sorted by (écart, smaller lead first, position),
+each key made once when its element enters T, and a step uses the first
+whose lead divides the remainder's.
 
 Basis completion is Lazard's: generators are made homogeneous with one
 extra variable t, a plain Buchberger loop runs under the matched graded
@@ -31,10 +34,11 @@ the same dict is reduced on.  Its lead comes from a heap of term keys
 with lazy deletion: an entry whose term has cancelled is skipped when
 it surfaces, and the heap is rebuilt once such entries outnumber the
 live terms, so each term's order key is computed once.  The content is
-removed every few steps and at the end.  The reducers are sorted once
-per call by (number of terms, homogenized lead degree descending, lead
-order key, position), and the first whose lead divides the remainder's
-is used.
+removed every few steps and at the end.  The completion keeps one table
+of reducers in choice order, (number of terms, homogenized lead degree
+descending, lead order key, position): each basis element enters the
+basis, its pairs and this table in one step, and a reduction uses the
+first entry whose lead divides the remainder's.
 Every remainder is a nonzero multiple of the one a step-by-step
 primitive reduction would hold, so both choose the same reducers and
 end in the same primitive vector.  A Mora step runs the kernel on a
@@ -78,6 +82,7 @@ when they are not empty.  A module sums its components.
 
 from __future__ import annotations
 
+import bisect
 import enum
 import heapq
 from dataclasses import dataclass
@@ -302,28 +307,30 @@ def _s_vector(gi: _Vec, gj: _Vec, lcm_ij: Monomial) -> dict:
 def _mora_normal_form(f: _Vec, reducers: Sequence[_Vec]) -> _Vec:
     """Weak normal form: u*f = sum q_i g_i + r for a unit u of the local
     ring (the remainder is returned up to a nonzero constant factor)."""
-    T = list(reducers)
+    # T in choice order: least écart, then the smaller lead (the larger
+    # order key), then position; each key is made once, on entry.
+    T: list = []
+
+    def enter(g):
+        (comp, m), _ = g.lead()
+        gk = sort_key(m)
+        key = (g.ecart(), -gk[0], tuple(-x for x in gk[1]), len(T))
+        bisect.insort(T, (key, comp, m, g))
+
+    for g in reducers:
+        enter(g)
     h = f
     while h:
-        (hcomp, hmono), hc = h.lead()
-        best = None
-        best_key = None
-        for idx, g in enumerate(T):
-            (gcomp, gmono), _ = g.lead()
-            if gcomp != hcomp or not mono_divides(gmono, hmono):
-                continue
-            # least écart first; ties go to the smaller leading monomial
-            # (the larger order key), then first found.
-            gk = sort_key(gmono)
-            key = (g.ecart(), -gk[0], tuple(-x for x in gk[1]), idx)
-            if best is None or key < best_key:
-                best, best_key = g, key
-        if best is None:
+        hlead = h.lead()[0]
+        for key, gcomp, gmono, g in T:
+            if gcomp == hlead[0] and mono_divides(gmono, hlead[1]):
+                break
+        else:
             return h
-        if best.ecart() > h.ecart():
-            T.append(h)
+        if key[0] > h.ecart():  # the écart of g
+            enter(h)
         terms = dict(h.terms)
-        _reduce_at(terms, h.lead()[0], best)
+        _reduce_at(terms, hlead, g)
         h = _vec_primitive(_Vec(terms))
     return h
 
@@ -332,19 +339,18 @@ def _mora_normal_form(f: _Vec, reducers: Sequence[_Vec]) -> _Vec:
 _CONTENT_EVERY = 8
 
 
-def _global_normal_form(h: dict, degree: int, reducers: Sequence[_Vec],
-                        exps: Sequence[int]) -> _Vec:
+def _reducer_entry(g: _Vec, e: int, index: int) -> tuple:
+    """The entry of basis element `index`, g with t^e in its lead, in the
+    reducer table: choice key, then what a division step reads."""
+    (comp, m), _ = g.lead()
+    return ((len(g.terms), -(sum(m) + e), sort_key(m), index), comp, m, e, g)
+
+
+def _global_normal_form(h: dict, degree: int, reducers: Sequence[tuple]) -> _Vec:
     """Plain lead reduction of the terms h of a homogeneous vector of
-    degree `degree`, in place (see module docstring); exps[i] is the
-    exponent of t in the lead of reducers[i].  Terminates as is."""
-    # Candidates in choice order: fewest terms, then greatest homogenized
-    # lead degree, then greatest lead, then first listed.  The first
-    # divisor wins.
-    choice = []
-    for idx, (g, e) in enumerate(zip(reducers, exps)):
-        (comp, m), _ = g.lead()
-        choice.append(((len(g.terms), -sum(m) - e, sort_key(m), idx), comp, m, e, g))
-    choice.sort()
+    degree `degree`, in place (see module docstring), against a reducer
+    table of _reducer_entry entries in ascending order; the first divisor
+    wins.  Terminates as is."""
     # (component, order key, term): the key is unique among the terms of
     # one homogeneous vector, so only entries for the same term tie.
     heap = [(comp, sort_key(m), (comp, m)) for comp, m in h]
@@ -357,7 +363,7 @@ def _global_normal_form(h: dict, degree: int, reducers: Sequence[_Vec],
             continue
         hcomp, hmono = lead
         hexp = degree - sum(hmono)
-        for _, gcomp, gmono, gexp, g in choice:
+        for _, gcomp, gmono, gexp, g in reducers:
             if gcomp == hcomp and gexp <= hexp and mono_divides(gmono, hmono):
                 break
         else:
@@ -383,27 +389,37 @@ def _global_normal_form(h: dict, degree: int, reducers: Sequence[_Vec],
 def _buchberger(gens: Sequence[_Vec], rank: int) -> List[_Vec]:
     """Homogenized Buchberger completion (see module docstring), with t
     set to 1 in the result."""
-    G = [_vec_primitive(g) for g in gens if g]
-    # exps[i] is the exponent of t in the lead of G[i]: a generator is
-    # homogenized to its largest term degree, so that is its écart.
-    exps = [g.ecart() for g in G]
-    leads = [g.lead()[0] for g in G]
-
+    G: List[_Vec] = []
+    leads: list = []
+    exps: List[int] = []  # exps[i]: the exponent of t in the lead of G[i]
+    # Reducer entries in choice order: fewest terms, then greatest
+    # homogenized lead degree, then greatest lead, then first added.
+    table: list = []
     # Heap entries are (homogenized lcm degree, component, order key of
     # lcm, i, j, lcm).  The key is a total order and (i, j) is unique, so
     # lcm is never compared and pairs pop in ascending key order.
     pairs: list = []
 
-    def push(i, j):
-        comp, mi = leads[i]
-        lcm_ij = mono_lcm(mi, leads[j][1])
-        degree = sum(lcm_ij) + max(exps[i], exps[j])
-        heapq.heappush(pairs, (degree, comp, sort_key(lcm_ij), i, j, lcm_ij))
+    def add(v, e):
+        # The one way into the basis: record v, file its reducer entry,
+        # and pair it with every earlier element of its component.
+        new = len(G)
+        comp, m = v.lead()[0]
+        G.append(v)
+        leads.append((comp, m))
+        exps.append(e)
+        bisect.insort(table, _reducer_entry(v, e, new))
+        for k in range(new):
+            if leads[k][0] == comp:
+                lcm_kn = mono_lcm(leads[k][1], m)
+                degree = sum(lcm_kn) + max(exps[k], e)
+                heapq.heappush(pairs, (degree, comp, sort_key(lcm_kn), k, new, lcm_kn))
 
-    for i in range(len(G)):
-        for j in range(i + 1, len(G)):
-            if leads[i][0] == leads[j][0]:
-                push(i, j)
+    for g in gens:
+        if g:
+            # homogenized to its largest term degree: t^ecart in its lead
+            g = _vec_primitive(g)
+            add(g, g.ecart())
     done = set()
 
     while pairs:
@@ -414,31 +430,14 @@ def _buchberger(gens: Sequence[_Vec], rank: int) -> List[_Vec]:
         if rank == 1 and min(exps[i], exps[j]) == 0 and lcm_ij == mono_mul(mi, mj):
             continue  # product criterion; sound for ideals only
         lcm_exp = max(exps[i], exps[j])
-        skip = False
-        for k in range(len(G)):
-            if k in (i, j):
-                continue
-            kcomp, mk = leads[k]
-            if kcomp != comp or exps[k] > lcm_exp or not mono_divides(mk, lcm_ij):
-                continue
-            pik = (min(i, k), max(i, k))
-            pjk = (min(j, k), max(j, k))
-            if pik in done and pjk in done:
-                skip = True
-                break
-        if skip:
-            continue
-        h = _global_normal_form(_s_vector(G[i], G[j], lcm_ij), degree, G, exps)
-        if not h:
-            continue
-        G.append(h)
-        leads.append(h.lead()[0])
-        ncomp, nmono = leads[-1]
-        exps.append(degree - sum(nmono))
-        new = len(G) - 1
-        for k in range(new):
-            if leads[k][0] == ncomp:
-                push(k, new)
+        if any(kcomp == comp and k != i and k != j and exps[k] <= lcm_exp
+               and mono_divides(mk, lcm_ij)
+               and (min(i, k), max(i, k)) in done and (min(j, k), max(j, k)) in done
+               for k, (kcomp, mk) in enumerate(leads)):
+            continue  # chain criterion
+        h = _global_normal_form(_s_vector(G[i], G[j], lcm_ij), degree, table)
+        if h:
+            add(h, degree - sum(h.lead()[0][1]))
     return G
 
 

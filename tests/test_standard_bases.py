@@ -32,6 +32,7 @@ from detindex.rings import mono_div, mono_divides, mono_lcm, mono_mul, sort_key
 from detindex.standard_bases import (
     _Vec,
     _global_normal_form,
+    _reducer_entry,
     _s_vector,
     _vec_from_components,
     _vec_primitive,
@@ -673,8 +674,9 @@ def test_in_place_reducer_matches_step_by_step_reference(rank):
         degree = rng.randint(3, 6)
         f = _random_homogeneous_vec(rng, 3, rank, degree, rng.randint(4, 12))
         expected = _reference_global_normal_form(f.terms, degree, reducers, exps, ties)
+        table = sorted(_reducer_entry(g, e, idx) for idx, (g, e) in enumerate(zip(reducers, exps)))
         with time_limit(10):
-            got = _global_normal_form(dict(f.terms), degree, reducers, exps)
+            got = _global_normal_form(dict(f.terms), degree, table)
             assert got.terms == expected.terms
         reduced += expected.terms != f.terms
     assert reduced > 40
@@ -743,6 +745,52 @@ def test_module_completion_matches_step_by_step_reference(monkeypatch):
         got = [module_standard_basis(r, g) for r, g in modules]
     monkeypatch.setattr(standard_bases, "_buchberger", _reference_buchberger)
     assert [module_standard_basis(r, g) for r, g in modules] == got
+
+
+def test_reducer_table_holds_each_basis_element_once(monkeypatch):
+    # Every division of the completion must see the table kept so far:
+    # ascending, one entry per basis element, each entry as made afresh
+    # from its vector and the exponent of t in its lead.
+    engine_buchberger = standard_bases._buchberger
+    engine_normal_form = standard_bases._global_normal_form
+    basis = []  # (terms, exponent of t in the lead) per basis element
+    calls = []
+
+    def buchberger(gens, rank):
+        basis.clear()
+        for g in gens:
+            if g:
+                (_, lead), _ = _lead(g.terms, sort_key)
+                basis.append((_reference_primitive(g.terms, sort_key),
+                              max(sum(m) for _, m in g.terms) - sum(lead)))
+        return engine_buchberger(gens, rank)
+
+    def checked_normal_form(h, degree, table):
+        assert [entry[0] for entry in table] == sorted(entry[0] for entry in table)
+        assert sorted(entry[0][-1] for entry in table) == list(range(len(basis)))
+        for entry in table:
+            g = entry[-1]
+            idx = entry[0][-1]
+            terms, e = basis[idx]
+            assert g.terms == terms
+            (comp, lead), _ = _lead(g.terms, sort_key)
+            assert entry == ((len(terms), -(sum(lead) + e), sort_key(lead), idx), comp, lead, e, g)
+        out = engine_normal_form(h, degree, table)
+        if out:
+            (_, lead), _ = _lead(out.terms, sort_key)
+            basis.append((out.terms, degree - sum(lead)))
+        calls.append(len(table))
+        return out
+
+    monkeypatch.setattr(standard_bases, "_buchberger", buchberger)
+    monkeypatch.setattr(standard_bases, "_global_normal_form", checked_normal_form)
+    threefold, form = _threefold_and_form()
+    with time_limit(20):
+        assert colength(_dense_ideal(4)) == 155
+        assert colength(algebra_ideal(threefold, form)) == 8
+        assert module_colength(*omega_quotient_generators(threefold, form)) == 8
+    assert len(calls) > 100
+    assert len(set(calls)) > 20  # the tables grew
 
 
 def test_dense_k7_colength_within_time_bound():
