@@ -12,6 +12,18 @@ degree.  The rows for a smaller cap d are the cap-D rows cut to degree
 at cap D gives dim O/(I + m^d) for every d <= D (the Hilbert-Samuel
 function of the quotient).
 
+Each row is walked once, column by column upward, from a heap of its
+column numbers: a column with a pivot is cleared by subtracting that
+pivot row, which only adds columns above it (a pivot row has no column
+below its pivot), and these are pushed as they appear.  The first column
+without a pivot is the row's lead; the walk goes on past it and clears
+every later column that has a pivot, so a row is stored tail-reduced
+against the pivots before it (stored pivots are not revisited).  Which
+columns become pivots depends only on the row space, not on how the rows
+are reduced.  Columns are keyed by packed ints: a monomial of degree
+< D has every exponent < D, so sum m_i * D^i packs it with no carry, and
+multiplying monomials is adding their codes.
+
 Because the associated graded module of a quotient is generated in
 degree zero, two equal consecutive values dim at caps D-1 and D certify
 that the quotient is finite-dimensional and that the shared value is the
@@ -30,11 +42,13 @@ the standard-basis engine.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from heapq import heappop, heappush
 from itertools import accumulate
-from math import gcd, lcm
+from math import comb, gcd, lcm
+from operator import mul
 from typing import List, Sequence, Tuple
 
-from .rings import mono_degree, mono_mul, monomials_up_to
+from .rings import mono_degree, monomials_up_to
 from .standard_bases import INFINITE, FreeModuleElement, Ideal, _check_module_gens
 
 ORACLE_START_CAP = 4
@@ -63,40 +77,76 @@ def _hilbert_samuel(rank: int, gen_terms, nvars: int, cap: int) -> List[int]:
     One integer elimination at cap: the pivots of degree < d are the rank
     of the cap-d rows, which are the cap rows cut to degree < d.
     """
-    monos = list(monomials_up_to(nvars, cap - 1))
-    keys = sorted((mono_degree(m), comp, m[::-1]) for comp in range(rank) for m in monos)
-    column = {(comp, rev[::-1]): col for col, (_, comp, rev) in enumerate(keys)}
+    # A monomial of degree < cap has every exponent < cap, so it packs
+    # with no carry into code(m) = sum m_i * cap^i, and code(m) + code(n)
+    # is code(mn) whenever mn has degree < cap; comp * cap^nvars on top
+    # keeps the components apart.  Code order is revlex order.
+    weights = [cap**i for i in range(nvars)]
+    monos = [(mono_degree(m), sum(map(mul, m, weights))) for m in monomials_up_to(nvars, cap - 1)]
+    base = cap**nvars
+    keys = sorted((deg, comp * base + code) for comp in range(rank) for deg, code in monos)
+    column = {key: col for col, (_, key) in enumerate(keys)}
 
-    pivots = {}
+    pivots = {}  # column -> (lead coefficient > 0, [(column, coefficient)] of the tail)
     for gen in gen_terms:
-        terms = [(comp, m, mono_degree(m), c) for (comp, m), c in gen]
-        mindeg = min(deg for _, _, deg, _ in terms)
-        for mult in monomials_up_to(nvars, cap - 1 - mindeg):
-            room = cap - mono_degree(mult)
-            row = {column[comp, mono_mul(m, mult)]: c for comp, m, deg, c in terms if deg < room}
-            while row:
-                pivot = min(row)
-                prow = pivots.get(pivot)
-                if prow is None:
-                    content = gcd(*row.values())
-                    if row[pivot] < 0:
-                        content = -content
-                    pivots[pivot] = {k: c // content for k, c in row.items()}
-                    break
-                g = gcd(row[pivot], prow[pivot])
-                a, b = prow[pivot] // g, row[pivot] // g
-                if a != 1:
-                    row = {k: a * c for k, c in row.items()}
-                for k, c in prow.items():
-                    s = row.get(k, 0) - b * c
-                    if s:
-                        row[k] = s
+        terms = [
+            (mono_degree(m), comp * base + sum(map(mul, m, weights)), c)
+            for (comp, m), c in gen
+            if mono_degree(m) < cap
+        ]
+        if not terms:
+            continue  # no term below the cap: every row is zero
+        mindeg = min(deg for deg, _, _ in terms)
+        # monos runs degree by degree: the multipliers of degree <= cap-1-mindeg
+        for mdeg, mcode in monos[: comb(cap - 1 - mindeg + nvars, nvars)]:
+            room = cap - mdeg
+            row = {column[code + mcode]: c for deg, code, c in terms if deg < room}
+            # Walk the row's columns upward.  A pivot row has no column
+            # below its pivot, so clearing a column only adds later ones.
+            get = row.get
+            heap = sorted(row)
+            lead = None
+            while heap:
+                col = heappop(heap)
+                c = get(col)
+                if c is None:
+                    continue  # cancelled, or cleared and popped again
+                pivot = pivots.get(col)
+                if pivot is None:
+                    if lead is None:
+                        lead = col
+                    continue
+                pc, tail = pivot
+                del row[col]
+                if pc == 1:
+                    b = c
+                else:
+                    g = gcd(c, pc)
+                    a, b = pc // g, c // g
+                    if a != 1:
+                        for k in row:
+                            row[k] *= a
+                for k, v in tail:
+                    s = get(k)
+                    if s is None:
+                        row[k] = -b * v
+                        heappush(heap, k)
                     else:
-                        del row[k]
-            # fully reduced to zero: dependent row, nothing to record
+                        s -= b * v
+                        if s:
+                            row[k] = s
+                        else:
+                            del row[k]
+            if lead is None:
+                continue  # reduced to zero: dependent row, nothing to record
+            # Stored tail-reduced and primitive with a positive lead.
+            content = gcd(*row.values())
+            if row[lead] < 0:
+                content = -content
+            pivots[lead] = (row.pop(lead) // content, [(k, v // content) for k, v in row.items()])
 
     free = [0] * cap  # free[e]: columns minus pivots of degree e
-    for deg, _, _ in keys:
+    for deg, _ in keys:
         free[deg] += 1
     for col in pivots:
         free[keys[col][0]] -= 1

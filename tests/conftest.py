@@ -2,6 +2,8 @@ import contextlib
 import math
 import random
 import signal
+from fractions import Fraction
+from itertools import product
 
 import pytest
 
@@ -53,6 +55,45 @@ def chi_bar_sum(m, t):
     if not 1 <= t <= m:
         raise ValueError("need 1 <= t <= m")
     return -sum((-1) ** k * math.comb(m, k) for k in range(t))
+
+
+def _rank(rows):
+    """Rank of a list of Fraction rows by plain Gaussian elimination."""
+    rows = [list(r) for r in rows]
+    rank = 0
+    for col in range(len(rows[0]) if rows else 0):
+        pivot = next((i for i in range(rank, len(rows)) if rows[i][col]), None)
+        if pivot is None:
+            continue
+        rows[rank], rows[pivot] = rows[pivot], rows[rank]
+        for i in range(rank + 1, len(rows)):
+            if rows[i][col]:
+                factor = rows[i][col] / rows[rank][col]
+                rows[i] = [a - factor * b for a, b in zip(rows[i], rows[rank])]
+        rank += 1
+    return rank
+
+
+def truncated_dims(rank, nvars, cap, gens):
+    """Reference per_degree of the truncation oracle, built from scratch:
+    for each d <= cap, dim (O/m^d)^rank / <gens> as columns minus the rank
+    of the full matrix of every monomial multiple of every generator cut
+    below degree d, by Fraction elimination.  gens: {(comp, mono): int}."""
+    out = []
+    for d in range(1, cap + 1):
+        monos = [m for m in product(range(d), repeat=nvars) if sum(m) < d]
+        index = {(comp, m): i for i, (comp, m) in enumerate(product(range(rank), monos))}
+        rows = []
+        for gen in gens:
+            for mult in monos:
+                row = [Fraction(0)] * len(index)
+                for (comp, m), c in gen.items():
+                    prod = tuple(a + b for a, b in zip(m, mult))
+                    if sum(prod) < d:
+                        row[index[comp, prod]] += c
+                rows.append(row)
+        out.append((d, len(index) - _rank(rows)))
+    return tuple(out)
 
 
 @contextlib.contextmanager

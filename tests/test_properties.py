@@ -1,8 +1,10 @@
 """Property tests on random ideals: the engine against the truncation
-oracle, and values that must not move when the presentation changes."""
+oracle, the oracle against a plain Fraction elimination, and values that
+must not move when the presentation changes."""
 
 from collections import Counter
 from fractions import Fraction
+from operator import add
 
 from hypothesis import given, settings, strategies as st
 
@@ -14,7 +16,11 @@ from detindex import (
     colength,
     module_colength,
     stabilized_colength,
+    truncated_colength_oracle,
+    truncated_module_colength,
 )
+
+from conftest import truncated_dims
 
 # derandomize: the same examples on every run, so tier-1 stays deterministic.
 PROPERTY = settings(derandomize=True, deadline=None, max_examples=60)
@@ -97,3 +103,68 @@ def units(draw, ring):
 def test_colength_does_not_change_under_unit_scaling(gens, data):
     scaled = [data.draw(units(g.ring)) * g for g in gens]
     assert colength(Ideal(scaled)) == colength(Ideal(gens))
+
+
+@st.composite
+def truncated_inputs(draw, max_cap):
+    """(rank, nvars, cap, gens) with rank 1-2, 2-3 variables, cap 1..max_cap
+    and one to four generators {(comp, mono): coefficient} of degree 1-3
+    with coefficients in +-1..6, so pivots often lead with a coefficient
+    other than 1.  By a coin toss, a combination of two of them (or one
+    twice) with coefficients c * m, |c| >= 2 and deg m <= 1, whose rows
+    cancel only at the right lead ratios; by another, a generator with
+    every term at or above the cap."""
+    rank = draw(st.integers(1, 2))
+    nvars = draw(st.integers(2, 3))
+    cap = draw(st.integers(1, max_cap))
+
+    def monomial(indices):
+        counts = Counter(indices)
+        return tuple(counts[i] for i in range(nvars))
+
+    def generators(low, high, count):
+        monomials = st.lists(st.integers(0, nvars - 1), min_size=low, max_size=high).map(monomial)
+        keys = st.tuples(st.integers(0, rank - 1), monomials)
+        coefficients = st.integers(-6, 6).filter(bool)
+        terms = st.dictionaries(keys, coefficients, min_size=1, max_size=4)
+        return draw(st.lists(terms, min_size=count, max_size=4 if count else 1))
+
+    gens = generators(1, 3, 1)
+    if draw(st.booleans()):
+        shifts = [(0,) * nvars] + [tuple(int(i == j) for j in range(nvars)) for i in range(nvars)]
+        combination = Counter()
+        for _ in range(2):
+            gen = draw(st.sampled_from(gens))
+            c = draw(st.sampled_from((-6, -4, -3, -2, 2, 3, 4, 6)))
+            shift = draw(st.sampled_from(shifts))
+            combination.update({(comp, tuple(map(add, m, shift))): c * v for (comp, m), v in gen.items()})
+        if any(combination.values()):
+            gens.append({key: c for key, c in combination.items() if c})
+    return rank, nvars, cap, gens + generators(cap, cap + 2, 0)
+
+
+def _oracle(rank, nvars, cap, gens):
+    ring = RingContext(("x", "y", "z")[:nvars])
+    components = [
+        [Poly(ring, {m: Fraction(c) for (k, m), c in gen.items() if k == comp}) for comp in range(rank)]
+        for gen in gens
+    ]
+    if rank == 1:
+        return truncated_colength_oracle(Ideal([poly for poly, in components]), cap)
+    return truncated_module_colength(rank, [FreeModuleElement(rank, comps) for comps in components], cap)
+
+
+@settings(derandomize=True, deadline=None, max_examples=150)
+@given(truncated_inputs(max_cap=4))
+def test_oracle_matches_a_fraction_elimination_at_every_cap(inputs):
+    assert _oracle(*inputs).per_degree == truncated_dims(*inputs)
+
+
+@PROPERTY
+@given(truncated_inputs(max_cap=8), st.data())
+def test_oracle_does_not_depend_on_the_generator_order(inputs, data):
+    # The pivot columns are an invariant of the row space; the oracle's
+    # elimination relies on it.
+    rank, nvars, cap, gens = inputs
+    shuffled = data.draw(st.permutations(gens))
+    assert _oracle(rank, nvars, cap, shuffled) == _oracle(rank, nvars, cap, gens)

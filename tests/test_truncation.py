@@ -19,7 +19,7 @@ from detindex import (
     truncated_module_colength,
 )
 
-from conftest import chi_bar_sum
+from conftest import chi_bar_sum, truncated_dims
 
 
 def P(src, ring):
@@ -236,3 +236,26 @@ def test_denominators_do_not_change_per_degree(ring_xy):
         FreeModuleElement(2, [P("y", ring_xy), P("x", ring_xy)]),
     ]
     assert truncated_module_colength(2, gens, 6) == truncated_module_colength(2, scaled, 6)
+
+
+def test_generator_with_no_term_below_the_cap_gives_no_row(ring_xy):
+    with_high = truncated_colength_oracle(Ideal([P("x^5", ring_xy), P("y", ring_xy)]), 4)
+    assert with_high == truncated_colength_oracle(Ideal([P("y", ring_xy)]), 4)
+    assert with_high.per_degree == ((1, 1), (2, 2), (3, 3), (4, 4))
+    alone = truncated_colength_oracle(Ideal([P("x^4 + x*y^3", ring_xy)]), 4)
+    assert alone.per_degree == ((1, 1), (2, 3), (3, 6), (4, 10))
+
+
+def test_pivots_leading_with_a_coefficient_other_than_one(ring_xy):
+    # leads 2x and 3y: reducing 3xy against the pivot 2xy + 3y^3 rescales the row
+    ideal = Ideal([P("2*x + 3*y^2", ring_xy), P("3*y - 5*x^2", ring_xy)])
+    gens = [{(0, (1, 0)): 2, (0, (0, 2)): 3}, {(0, (0, 1)): 3, (0, (2, 0)): -5}]
+    report = truncated_colength_oracle(ideal, 4)
+    assert report.per_degree == truncated_dims(1, 2, 4, gens) == ((1, 1), (2, 1), (3, 1), (4, 1))
+    assert report.stabilized and report.value == colength(ideal) == 1
+    # 4x + 6y^2 cancels against the pivot 2x + 3y^2 only at the lead ratio 2;
+    # no row leads at y^2, so a wrong ratio would leave a new pivot there
+    curve = Ideal([P("2*x + 3*y^2", ring_xy), P("4*x + 6*y^2", ring_xy)])
+    gens = [{(0, (1, 0)): 2, (0, (0, 2)): 3}, {(0, (1, 0)): 4, (0, (0, 2)): 6}]
+    report = truncated_colength_oracle(curve, 4)
+    assert report.per_degree == truncated_dims(1, 2, 4, gens) == ((1, 1), (2, 2), (3, 3), (4, 4))
