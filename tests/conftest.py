@@ -75,7 +75,7 @@ def _rank(rows):
 
 
 def truncated_dims(rank, nvars, cap, gens):
-    """Reference per_degree of the truncation oracle, built from scratch:
+    """Reference per_degree of the truncation oracle, built independently:
     for each d <= cap, dim (O/m^d)^rank / <gens> as columns minus the rank
     of the full matrix of every monomial multiple of every generator cut
     below degree d, by Fraction elimination.  gens: {(comp, mono): int}."""
