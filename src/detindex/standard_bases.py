@@ -31,29 +31,54 @@ divided by their gcd, so it scales h only when the lead coefficient of
 g does not divide that of h.  An S-vector is the first step of its own
 reduction: x^(lcm/lead gi)*gi is cancelled against gj at the lcm, and
 the same dict is reduced on.  Its lead comes from a heap of term keys
-with lazy deletion: an entry whose term has cancelled is skipped when
-it surfaces, and the heap is rebuilt once such entries outnumber the
-live terms, so each term's order key is computed once.  The content is
-removed every few steps and at the end.  The completion keeps one table
-of reducers in choice order, (number of terms, homogenized lead degree
-descending, lead order key, position): each basis element enters the
-basis, its pairs and this table in one step, and a reduction uses the
-first entry whose lead divides the remainder's.
+with lazy deletion: a key whose term has cancelled is skipped when it
+surfaces, and the heap is rebuilt from the live terms once stale keys
+outnumber them.  The content is removed every few steps and at the end.
+The completion keeps one table of reducers in choice order, (number of
+terms, homogenized lead degree descending, lead key, position): each
+basis element enters the basis, its pairs and this table in one step,
+and a reduction uses the first entry of the lead's component whose lead
+divides the remainder's.
 Every remainder is a nonzero multiple of the one a step-by-step
 primitive reduction would hold, so both choose the same reducers and
 end in the same primitive vector.  A Mora step runs the kernel on a
 copy of the partial remainder, which T may keep, and makes the result
 primitive.
 
-One order key serves both phases: ``rings.sort_key``, which orders every
-``Poly`` too.  It is the local order, and on the terms of one
-homogeneous vector, which share their degree with t, the graded order.
+Terms are keyed by one int each (Monagan-Pearce, J. Symb. Comput. 46,
+2011).  In a ring of n variables with fields of W bits, the term
+x^m in component c has the key
+
+    c*2^((n+1)W) + |m|*2^(nW) + sum of m_i*2^(iW),
+
+so ascending key order is (component, ``rings.sort_key``): position
+over term, earlier components first, and within a component the one
+term order that orders every ``Poly`` too.  It is the local order, and
+on the terms of one homogeneous vector, which share their degree with
+t, the graded order.  A vector's lead is its least key, a monomial
+product is one addition of keys and a quotient one subtraction (the
+component field cancels), and for two keys a, b of one component, a
+divides b exactly when ((b | tops) - a) & tops == tops, where tops holds
+the top bit of each of the n + 1 low fields: a field of b with its top
+bit set loses that bit to the subtraction exactly when its value is
+below a's, and never borrows from the field above.  That holds, and no
+sum of two fields carries, while every exponent and degree stays below
+2^(W-1).  In the completion every exponent of a vector is at most its
+homogenized degree, and that is at most the degree of the pair it comes
+from, so one check per pair covers a run; a Mora step checks the degree
+of the multiple of the reducer it is about to subtract.  A failed check
+restarts the run at twice the width, from the least width (16 bits at
+the least) that holds the input's degrees.  Every choice the engine
+makes depends on key order alone, which the width does not change, so
+the rerun returns the same result.  Tuples are made only at the exits:
+the lcm of a pair is taken field by field on the tuple leads and packed
+once, and results, staircases and colength counts read unpacked leads.
 Critical pairs wait in a heap keyed, when the pair is created, by
-(homogenized lcm degree, component, order key of the lcm, i, j); leads
-never change, so the key is fixed.  Coprime leads are discarded in the
-ideal case (the product criterion is not sound for submodules of free
-modules), and the classical chain criterion prunes pairs dominated by an
-already-treated element.
+(homogenized lcm degree, key of the lcm, i, j); leads never change, so
+the key is fixed.  Coprime leads are discarded in the ideal case (the
+product criterion is not sound for submodules of free modules), and the
+classical chain criterion prunes pairs dominated by an already-treated
+element.
 
 The engine is integer-only.  Coefficients are rationals (``Fraction``)
 at the public functions; denominators are cleared once on the way in,
@@ -67,8 +92,7 @@ leads alone and make no rational.
 
 An ideal is the rank-1 case of a submodule of a free module O^r
 (Greuel-Pfister, section 2.3): it enters the one completion with one
-rank-1 vector per generator.  Terms are keyed by (component, exponent
-tuple) with position-over-term order, earlier components first.
+rank-1 vector per generator.
 
 Colength queries count the standard monomials (those no leading
 monomial divides) from the leads alone, by slices in the exponent of
@@ -88,18 +112,14 @@ import heapq
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Iterable, List, Sequence, Tuple
+from typing import Callable, Iterable, List, Sequence, Tuple
 
 from .rings import (
     LOCAL_ORDER,
     Monomial,
     Poly,
     RingContext,
-    mono_div,
-    mono_divides,
     mono_lcm,
-    mono_mul,
-    sort_key,
 )
 
 
@@ -173,11 +193,12 @@ class FreeModuleElement:
 
 @dataclass(frozen=True)
 class StandardBasis:
-    """Reduced local standard basis with its leading-term staircase.
+    """Minimal local standard basis with its leading-term staircase.
 
-    Elements are monic, pairwise reduced (no leading monomial divides
-    another) and listed from greatest to least leading monomial, so the
-    output is canonical for a given generating set.
+    Minimal means: no leading monomial divides another, so the leads are
+    the minimal generators of the leading ideal.  Elements are monic and
+    listed from greatest to least leading monomial, so the output is
+    canonical for a given generating set; their tails are not reduced.
     """
 
     ring: RingContext
@@ -196,38 +217,95 @@ class StandardBasis:
 
 
 # ---------------------------------------------------------------------------
-# internal vector representation: dict[(component, exponent tuple)] -> int
+# packed term keys (see module docstring)
+
+class _Overflow(Exception):
+    """A field of a term key is about to reach the limit of its width."""
+
+
+class _Keys:
+    """The term keys of one run: n variables, fields of `width` bits."""
+
+    __slots__ = ("nvars", "width", "limit", "mask", "degree_shift", "comp_shift", "tops")
+
+    def __init__(self, nvars: int, width: int):
+        self.nvars = nvars
+        self.width = width
+        # Every exponent and degree stays below limit: no field carries,
+        # and the borrow test below is exact.
+        self.limit = 1 << (width - 1)
+        self.mask = (1 << width) - 1
+        self.degree_shift = nvars * width
+        self.comp_shift = (nvars + 1) * width
+        self.tops = sum(self.limit << (i * width) for i in range(nvars + 1))
+
+    def pack(self, comp: int, mono: Monomial) -> int:
+        key = (comp << self.width) | sum(mono)
+        for e in reversed(mono):
+            key = (key << self.width) | e
+        return key
+
+    def unpack(self, key: int) -> Tuple[int, Monomial]:
+        width, mask = self.width, self.mask
+        return key >> self.comp_shift, tuple((key >> (i * width)) & mask for i in range(self.nvars))
+
+    def degree(self, key: int) -> int:
+        return (key >> self.degree_shift) & self.mask
+
+    def divides(self, a: int, b: int) -> bool:
+        """Whether the term of a divides that of b, both of one component."""
+        tops = self.tops
+        return ((b | tops) - a) & tops == tops
+
+    def ecart(self, v: "_Vec") -> int:
+        """Largest term degree of a nonzero v less the degree of its lead."""
+        shift, mask = self.degree_shift, self.mask
+        return max((k >> shift) & mask for k in v.terms) - self.degree(v.lead()[0])
+
+
+def _first_width(degree: int) -> int:
+    """The least width, 16 bits at the least, whose fields hold `degree`."""
+    return max(16, degree.bit_length() + 1)
+
+
+def _at_fitting_width(nvars: int, degree: int, run: Callable[[_Keys], object]):
+    """(keys, run(keys)), from the first width that holds `degree`, the
+    input's largest term degree, and at twice the width for as long as
+    run raises _Overflow."""
+    width = _first_width(degree)
+    while True:
+        keys = _Keys(nvars, width)
+        try:
+            return keys, run(keys)
+        except _Overflow:
+            # Every choice of the engine depends on key order alone, and
+            # the width does not change that order, so the rerun at twice
+            # the width makes the same choices and returns the same result.
+            width *= 2
+
+
+# ---------------------------------------------------------------------------
+# internal vector representation: dict[term key] -> int
 
 class _Vec:
-    __slots__ = ("terms", "_lead", "_maxdeg")
+    __slots__ = ("terms", "_lead")
 
     def __init__(self, terms: dict):
         self.terms = terms
         self._lead = None
-        self._maxdeg = None
 
     def __bool__(self):
         return bool(self.terms)
 
     def lead(self):
-        # Greatest term: least (component, order key).
+        # Greatest term: least key.
         if self._lead is None and self.terms:
-            key = min(self.terms, key=lambda cm: (cm[0], sort_key(cm[1])))
+            key = min(self.terms)
             self._lead = (key, self.terms[key])
         return self._lead
 
-    def maxdeg(self):
-        if self._maxdeg is None:
-            self._maxdeg = max(sum(m) for _, m in self.terms) if self.terms else 0
-        return self._maxdeg
 
-    def ecart(self):
-        if not self.terms:
-            return 0
-        return self.maxdeg() - sum(self.lead()[0][1])
-
-
-def _vec_from_components(components: Sequence[Poly]) -> _Vec:
+def _vec_from_components(components: Sequence[Poly], keys: _Keys) -> _Vec:
     """Integer vector: the rational components times the least common
     denominator of their coefficients (a positive scalar)."""
     coeffs = [c for poly in components for c in poly.terms.values()]
@@ -235,15 +313,16 @@ def _vec_from_components(components: Sequence[Poly]) -> _Vec:
     terms = {}
     for comp, poly in enumerate(components):
         for m, c in poly.terms.items():
-            terms[(comp, m)] = c.numerator * (den // c.denominator)
+            terms[keys.pack(comp, m)] = c.numerator * (den // c.denominator)
     return _Vec(terms)
 
 
-def _components(vec: _Vec, rank: int, ring: RingContext, scale: int = 1) -> List[Poly]:
+def _components(vec: _Vec, rank: int, ring: RingContext, keys: _Keys, scale: int = 1) -> List[Poly]:
     """The rank rational component polynomials of vec / scale: the one
     place the engine makes rationals."""
     buckets: List[dict] = [dict() for _ in range(rank)]
-    for (comp, m), c in vec.terms.items():
+    for k, c in vec.terms.items():
+        comp, m = keys.unpack(k)
         buckets[comp][m] = Fraction(c, scale)
     return [Poly(ring, b) for b in buckets]
 
@@ -263,25 +342,24 @@ def _vec_primitive(v: _Vec) -> _Vec:
         return v
     out = _Vec({k: c // content for k, c in v.terms.items()})
     out._lead = (lead_key, lead_coeff // content)
-    out._maxdeg = v._maxdeg
     return out
 
 
-def _reduce_at(h: dict, lead, g: _Vec) -> list:
+def _reduce_at(h: dict, lead: int, g: _Vec) -> list:
     """The one cancellation kernel: h := gc*h - fc*x^shift*g in place, where
     x^shift times the lead monomial of g is the term lead of h, and fc, gc
     are h[lead] and the lead coefficient of g divided by their gcd, so the
     term at lead cancels.  Returns the keys it created."""
-    (_, gmono), glc = g.lead()
+    glead, glc = g.lead()
     d = gcd(h[lead], glc)
     fc, gc = h[lead] // d, glc // d
     if gc != 1:
         for k in h:
             h[k] *= gc
-    shift = mono_div(lead[1], gmono)
+    shift = lead - glead
     created = []
-    for (comp, m), c in g.terms.items():
-        k = (comp, mono_mul(m, shift))
+    for k, c in g.terms.items():
+        k += shift
         delta = c * fc
         s = h.get(k)
         if s is None:
@@ -294,41 +372,47 @@ def _reduce_at(h: dict, lead, g: _Vec) -> list:
     return created
 
 
-def _s_vector(gi: _Vec, gj: _Vec, lcm_ij: Monomial) -> dict:
+def _s_vector(gi: _Vec, gj: _Vec, lcm_ij: int) -> dict:
     """x^(lcm/lead gi)*gi with its lead cancelled against gj: the
     S-vector, not yet primitive, as the first step of its reduction."""
-    (comp, mi), _ = gi.lead()
-    shift = mono_div(lcm_ij, mi)
-    h = {(c, mono_mul(m, shift)): v for (c, m), v in gi.terms.items()}
-    _reduce_at(h, (comp, lcm_ij), gj)
+    shift = lcm_ij - gi.lead()[0]
+    h = {k + shift: v for k, v in gi.terms.items()}
+    _reduce_at(h, lcm_ij, gj)
     return h
 
 
-def _mora_normal_form(f: _Vec, reducers: Sequence[_Vec]) -> _Vec:
-    """Weak normal form: u*f = sum q_i g_i + r for a unit u of the local
-    ring (the remainder is returned up to a nonzero constant factor)."""
+def _mora_normal_form(f: _Vec, reducers: Sequence[_Vec], keys: _Keys) -> _Vec:
+    """Weak normal form of rank-1 vectors: u*f = sum q_i g_i + r for a
+    unit u of the local ring (the remainder is returned up to a nonzero
+    constant factor)."""
+    tops, limit = keys.tops, keys.limit
     # T in choice order: least écart, then the smaller lead (the larger
-    # order key), then position; each key is made once, on entry.
+    # key), then position; each key is made once, on entry.
     T: list = []
 
-    def enter(g):
-        (comp, m), _ = g.lead()
-        gk = sort_key(m)
-        key = (g.ecart(), -gk[0], tuple(-x for x in gk[1]), len(T))
-        bisect.insort(T, (key, comp, m, g))
+    def enter(g, ecart):
+        lead = g.lead()[0]
+        bisect.insort(T, ((ecart, -lead, len(T)), lead, g))
 
     for g in reducers:
-        enter(g)
+        enter(g, keys.ecart(g))
     h = f
     while h:
         hlead = h.lead()[0]
-        for key, gcomp, gmono, g in T:
-            if gcomp == hlead[0] and mono_divides(gmono, hlead[1]):
+        covered = hlead | tops
+        for key, glead, g in T:
+            if (covered - glead) & tops == tops:
                 break
         else:
             return h
-        if key[0] > h.ecart():  # the écart of g
-            enter(h)
+        gecart = key[0]
+        # The terms of x^(hlead - glead)*g have degree at most
+        # deg(hlead) - deg(glead) + maxdeg(g) = deg(hlead) + ecart(g).
+        if keys.degree(hlead) + gecart >= limit:
+            raise _Overflow
+        hecart = keys.ecart(h)
+        if gecart > hecart:
+            enter(h, hecart)
         terms = dict(h.terms)
         _reduce_at(terms, hlead, g)
         h = _vec_primitive(_Vec(terms))
@@ -339,37 +423,38 @@ def _mora_normal_form(f: _Vec, reducers: Sequence[_Vec]) -> _Vec:
 _CONTENT_EVERY = 8
 
 
-def _reducer_entry(g: _Vec, e: int, index: int) -> tuple:
+def _reducer_entry(g: _Vec, e: int, index: int, keys: _Keys) -> tuple:
     """The entry of basis element `index`, g with t^e in its lead, in the
     reducer table: choice key, then what a division step reads."""
-    (comp, m), _ = g.lead()
-    return ((len(g.terms), -(sum(m) + e), sort_key(m), index), comp, m, e, g)
+    lead = g.lead()[0]
+    return ((len(g.terms), -(keys.degree(lead) + e), lead, index), lead >> keys.comp_shift, lead, e, g)
 
 
-def _global_normal_form(h: dict, degree: int, reducers: Sequence[tuple]) -> _Vec:
+def _global_normal_form(h: dict, degree: int, reducers: Sequence[tuple], keys: _Keys) -> _Vec:
     """Plain lead reduction of the terms h of a homogeneous vector of
     degree `degree`, in place (see module docstring), against a reducer
     table of _reducer_entry entries in ascending order; the first divisor
     wins.  Terminates as is."""
-    # (component, order key, term): the key is unique among the terms of
-    # one homogeneous vector, so only entries for the same term tie.
-    heap = [(comp, sort_key(m), (comp, m)) for comp, m in h]
+    tops, mask = keys.tops, keys.mask
+    degree_shift, comp_shift = keys.degree_shift, keys.comp_shift
+    heap = list(h)
     heapq.heapify(heap)
     steps = 0
     while heap:
-        lead = heap[0][2]
+        lead = heap[0]
         if lead not in h:
             heapq.heappop(heap)  # cancelled since it was pushed
             continue
-        hcomp, hmono = lead
-        hexp = degree - sum(hmono)
-        for _, gcomp, gmono, gexp, g in reducers:
-            if gcomp == hcomp and gexp <= hexp and mono_divides(gmono, hmono):
+        hcomp = lead >> comp_shift
+        hexp = degree - ((lead >> degree_shift) & mask)
+        covered = lead | tops
+        for _, gcomp, glead, gexp, g in reducers:
+            if gcomp == hcomp and gexp <= hexp and (covered - glead) & tops == tops:
                 break
         else:
             break  # the lead is irreducible
         for k in _reduce_at(h, lead, g):
-            heapq.heappush(heap, (k[0], sort_key(k[1]), k))
+            heapq.heappush(heap, k)
         steps += 1
         if steps % _CONTENT_EVERY == 0:
             content = gcd(*h.values())
@@ -377,8 +462,8 @@ def _global_normal_form(h: dict, degree: int, reducers: Sequence[tuple]) -> _Vec
                 for k in h:
                     h[k] //= content
         if len(heap) > 2 * len(h):
-            # stale entries outnumber live terms: keep one entry per term
-            heap = list({e[2]: e for e in heap if e[2] in h}.values())
+            # stale keys outnumber live terms, each of which has a key here
+            heap = list(h)
             heapq.heapify(heap)
     out = _Vec(h)
     if h:
@@ -386,97 +471,114 @@ def _global_normal_form(h: dict, degree: int, reducers: Sequence[tuple]) -> _Vec
     return _vec_primitive(out)
 
 
-def _buchberger(gens: Sequence[_Vec], rank: int) -> List[_Vec]:
+def _buchberger(gens: Sequence[_Vec], rank: int, keys: _Keys) -> List[_Vec]:
     """Homogenized Buchberger completion (see module docstring), with t
     set to 1 in the result."""
+    tops, limit = keys.tops, keys.limit
     G: List[_Vec] = []
-    leads: list = []
+    leads: list = []  # leads[i]: (component, exponent tuple) of the lead of G[i]
+    lead_keys: List[int] = []
     exps: List[int] = []  # exps[i]: the exponent of t in the lead of G[i]
     # Reducer entries in choice order: fewest terms, then greatest
     # homogenized lead degree, then greatest lead, then first added.
     table: list = []
-    # Heap entries are (homogenized lcm degree, component, order key of
-    # lcm, i, j, lcm).  The key is a total order and (i, j) is unique, so
-    # lcm is never compared and pairs pop in ascending key order.
+    # Heap entries are (homogenized lcm degree, key of lcm, i, j): a
+    # total order, as (i, j) is unique.
     pairs: list = []
 
     def add(v, e):
         # The one way into the basis: record v, file its reducer entry,
         # and pair it with every earlier element of its component.
         new = len(G)
-        comp, m = v.lead()[0]
+        lead = v.lead()[0]
+        comp, m = keys.unpack(lead)
         G.append(v)
         leads.append((comp, m))
+        lead_keys.append(lead)
         exps.append(e)
-        bisect.insort(table, _reducer_entry(v, e, new))
+        bisect.insort(table, _reducer_entry(v, e, new, keys))
         for k in range(new):
             if leads[k][0] == comp:
                 lcm_kn = mono_lcm(leads[k][1], m)
                 degree = sum(lcm_kn) + max(exps[k], e)
-                heapq.heappush(pairs, (degree, comp, sort_key(lcm_kn), k, new, lcm_kn))
+                # Bounds every exponent and degree of the pair's S-vector
+                # and its reduction; see _at_fitting_width for the restart.
+                if degree >= limit:
+                    raise _Overflow
+                heapq.heappush(pairs, (degree, keys.pack(comp, lcm_kn), k, new))
 
     for g in gens:
         if g:
-            # homogenized to its largest term degree: t^ecart in its lead
+            # homogenized to its largest term degree, which the first
+            # width holds: t^ecart in its lead
             g = _vec_primitive(g)
-            add(g, g.ecart())
+            add(g, keys.ecart(g))
     done = set()
 
     while pairs:
-        degree, comp, _, i, j, lcm_ij = heapq.heappop(pairs)
+        degree, lcm_ij, i, j = heapq.heappop(pairs)
         done.add((i, j))
-        mi = leads[i][1]
-        mj = leads[j][1]
-        if rank == 1 and min(exps[i], exps[j]) == 0 and lcm_ij == mono_mul(mi, mj):
+        if rank == 1 and min(exps[i], exps[j]) == 0 and lcm_ij == lead_keys[i] + lead_keys[j]:
             continue  # product criterion; sound for ideals only
+        comp = leads[i][0]
         lcm_exp = max(exps[i], exps[j])
-        if any(kcomp == comp and k != i and k != j and exps[k] <= lcm_exp
-               and mono_divides(mk, lcm_ij)
+        covered = lcm_ij | tops
+        if any(leads[k][0] == comp and k != i and k != j and exps[k] <= lcm_exp
+               and (covered - lk) & tops == tops
                and (min(i, k), max(i, k)) in done and (min(j, k), max(j, k)) in done
-               for k, (kcomp, mk) in enumerate(leads)):
+               for k, lk in enumerate(lead_keys)):
             continue  # chain criterion
-        h = _global_normal_form(_s_vector(G[i], G[j], lcm_ij), degree, table)
+        h = _global_normal_form(_s_vector(G[i], G[j], lcm_ij), degree, table, keys)
         if h:
-            add(h, degree - sum(h.lead()[0][1]))
+            add(h, degree - keys.degree(h.lead()[0]))
     return G
 
 
-def _absorb_unit_factor(v: _Vec) -> _Vec:
+def _absorb_unit_factor(v: _Vec, keys: _Keys) -> _Vec:
     """Replace unit * leading term by the leading term alone.
 
     Sound exactly when every tail term sits in the lead component and is
     divisible by the leading monomial: then v = (1 + q) * lead with q a
     non-unit, so the ideal (module) generated is unchanged.
     """
-    (comp, mono), coeff = v.lead()
-    for (c, m) in v.terms:
-        if c != comp or not mono_divides(mono, m):
+    lead, coeff = v.lead()
+    comp = lead >> keys.comp_shift
+    for k in v.terms:
+        if k >> keys.comp_shift != comp or not keys.divides(lead, k):
             return v
-    return _Vec({(comp, mono): coeff})
+    return _Vec({lead: coeff})
 
 
-def _minimalize(G: List[_Vec]) -> List[_Vec]:
+def _minimalize(G: List[_Vec], keys: _Keys) -> List[_Vec]:
     """The vectors of G whose lead no earlier lead divides, in canonical
     order, each with a unit factor absorbed: primitive integer vectors."""
     kept: List[_Vec] = []
-    kept_leads: List[Tuple[int, Monomial]] = []
-    # A divisor has smaller or equal degree, and the order key starts with
-    # the degree, so one sort by (component, order key) scans low degree
+    kept_leads: List[int] = []
+    # A divisor has smaller or equal degree, and the key orders by
+    # component and then degree, so one sort by lead key scans low degree
     # first within each component and leaves the kept vectors in their
     # final order.
-    for v in sorted(G, key=lambda v: (v.lead()[0][0], sort_key(v.lead()[0][1]))):
-        comp, mono = v.lead()[0]
-        if any(c == comp and mono_divides(m, mono) for c, m in kept_leads):
+    for v in sorted(G, key=lambda v: v.lead()[0]):
+        lead = v.lead()[0]
+        comp = lead >> keys.comp_shift
+        if any(k >> keys.comp_shift == comp and keys.divides(k, lead) for k in kept_leads):
             continue
-        kept.append(_absorb_unit_factor(v))
-        kept_leads.append((comp, mono))
+        kept.append(_absorb_unit_factor(v, keys))
+        kept_leads.append(lead)
     return kept
 
 
-def _complete(rank: int, generators: Iterable[Sequence[Poly]]) -> List[_Vec]:
+def _complete(rank: int, generators: Iterable[Sequence[Poly]]) -> Tuple[_Keys, List[_Vec]]:
     """Minimal standard basis of the submodule of O^rank generated by the
-    given component lists; an ideal is rank 1, one list [g] per generator."""
-    return _minimalize(_buchberger([_vec_from_components(c) for c in generators], rank))
+    given component lists, with the keys it is written in; an ideal is
+    rank 1, one list [g] per generator."""
+    generators = [tuple(c) for c in generators]
+    polys = [p for c in generators for p in c]
+    nvars = polys[0].ring.nvars if polys else 0  # no generators, no keys
+    return _at_fitting_width(
+        nvars, max((p.total_degree() for p in polys), default=0),
+        lambda keys: _minimalize(
+            _buchberger([_vec_from_components(c, keys) for c in generators], rank, keys), keys))
 
 
 # ---------------------------------------------------------------------------
@@ -489,25 +591,32 @@ def normal_form(f: Poly, basis: Iterable[Poly]) -> Poly:
     local ring, and no leading monomial of the basis divides the leading
     monomial of r.
     """
-    reducers = []
+    polys = []
     for g in basis:
         if g.ring != f.ring:
             raise ValueError("mixed ring contexts")
         if g:
-            reducers.append(_vec_from_components([g]))
-    start = _vec_from_components([f])
-    out = _mora_normal_form(start, reducers)
+            polys.append(g)
+
+    def run(keys):
+        start = _vec_from_components([f], keys)
+        reducers = [_vec_from_components([g], keys) for g in polys]
+        return start, _mora_normal_form(start, reducers, keys)
+
+    degree = max(p.total_degree() for p in [f, *polys])
+    keys, (start, out) = _at_fitting_width(f.ring.nvars, degree, run)
     if out is start:
         return f  # nothing to reduce: f itself, not a rescaled copy
-    return _components(out, 1, f.ring)[0]
+    return _components(out, 1, f.ring, keys)[0]
 
 
 def standard_basis(ideal: Ideal) -> StandardBasis:
-    """Reduced standard basis of the ideal in the local ring."""
+    """Minimal standard basis of the ideal in the local ring (see
+    StandardBasis)."""
     ring = ideal.ring
-    basis = _complete(1, ([g] for g in ideal.generators))
-    elements = tuple(_components(v, 1, ring, v.lead()[1])[0] for v in basis)
-    staircase = tuple(v.lead()[0][1] for v in basis)
+    keys, basis = _complete(1, ([g] for g in ideal.generators))
+    elements = tuple(_components(v, 1, ring, keys, v.lead()[1])[0] for v in basis)
+    staircase = tuple(keys.unpack(v.lead()[0])[1] for v in basis)
     return StandardBasis(ring, LOCAL_ORDER, elements, staircase)
 
 
@@ -532,12 +641,13 @@ def _staircase_count(leads: Sequence[Monomial]):
     return total
 
 
-def _lead_count(basis: Sequence[_Vec], rank: int):
-    """Colength of a submodule of O^rank from its standard basis: the
-    standard monomials of each component, summed, or INFINITE."""
+def _lead_count(keys: _Keys, basis: Sequence[_Vec], rank: int):
+    """Colength of a submodule of O^rank from its standard basis, written
+    in keys: the standard monomials of each component, summed, or
+    INFINITE."""
     per_component: List[List[Monomial]] = [[] for _ in range(rank)]
     for v in basis:
-        comp, mono = v.lead()[0]
+        comp, mono = keys.unpack(v.lead()[0])
         per_component[comp].append(mono)
     counts = [_staircase_count(leads) for leads in per_component]
     return INFINITE if INFINITE in counts else sum(counts)
@@ -545,7 +655,7 @@ def _lead_count(basis: Sequence[_Vec], rank: int):
 
 def colength(ideal: Ideal):
     """Dimension of O_local / ideal over the rationals, or INFINITE."""
-    return _lead_count(_complete(1, ([g] for g in ideal.generators)), 1)
+    return _lead_count(*_complete(1, ([g] for g in ideal.generators)), 1)
 
 
 def _check_module_gens(rank: int, gens: Sequence[FreeModuleElement]) -> None:
@@ -563,11 +673,12 @@ def _check_module_gens(rank: int, gens: Sequence[FreeModuleElement]) -> None:
 def module_standard_basis(rank: int, gens: Sequence[FreeModuleElement]) -> List[FreeModuleElement]:
     """Standard basis of a submodule of O^r under position-over-term order."""
     _check_module_gens(rank, gens)
-    basis = _complete(rank, (g.components for g in gens))
-    return [FreeModuleElement(rank, _components(v, rank, gens[0].ring, v.lead()[1])) for v in basis]
+    keys, basis = _complete(rank, (g.components for g in gens))
+    return [FreeModuleElement(rank, _components(v, rank, gens[0].ring, keys, v.lead()[1]))
+            for v in basis]
 
 
 def module_colength(rank: int, gens: Sequence[FreeModuleElement]):
     """Dimension of O^rank / <gens>, or INFINITE."""
     _check_module_gens(rank, gens)
-    return _lead_count(_complete(rank, (g.components for g in gens)), rank)
+    return _lead_count(*_complete(rank, (g.components for g in gens)), rank)

@@ -5,6 +5,7 @@ from fractions import Fraction
 from itertools import combinations_with_replacement, product
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from detindex import (
     INFINITE,
@@ -30,7 +31,9 @@ from detindex import (
 from detindex import standard_bases
 from detindex.rings import mono_div, mono_divides, mono_lcm, mono_mul, sort_key
 from detindex.standard_bases import (
+    _Keys,
     _Vec,
+    _first_width,
     _global_normal_form,
     _reducer_entry,
     _s_vector,
@@ -417,6 +420,21 @@ def test_ideal_validation(ring_xy, ring_xyz):
 
 # -- the engine against copying, step-by-step references ---------------------------
 
+class _Packing:
+    """The boundary between the references below, which key terms by
+    (component, exponent tuple), and the engine, which keys them by one
+    packed int: packs terms on the way in, unpacks them on the way out."""
+
+    def __init__(self, keys):
+        self.keys = keys
+
+    def vec(self, terms):
+        return _Vec({self.keys.pack(comp, m): c for (comp, m), c in terms.items()})
+
+    def terms(self, vec):
+        return {self.keys.unpack(k): c for k, c in vec.terms.items()}
+
+
 def _lead(terms, key):
     """(term, coefficient) of the greatest term of a terms dict under key."""
     lead = min(terms, key=lambda cm: (cm[0], key(cm[1])))
@@ -486,7 +504,7 @@ def _homogenized(terms, degree):
 
 
 def _dehomogenized(terms):
-    return _Vec({(comp, m[:-1]): c for (comp, m), c in terms.items()})
+    return {(comp, m[:-1]): c for (comp, m), c in terms.items()}
 
 
 def _reference_slot_normal_form(h, reducers, leads, ties=None):
@@ -519,21 +537,22 @@ def _reference_global_normal_form(terms, degree, reducers, exps, ties=None):
     divisibility covers the homogenizing exponent: the reducer before it
     ran in place on vectors without that exponent.  exps[i] is the
     homogenizing exponent of the lead of reducers[i]."""
-    homogenized = [_homogenized(g.terms, sum(g.lead()[0][1]) + e) for g, e in zip(reducers, exps)]
+    homogenized = [_homogenized(g, sum(_lead(g, sort_key)[0][1]) + e) for g, e in zip(reducers, exps)]
     leads = [_lead(g, _slot_key) for g in homogenized]
     return _dehomogenized(_reference_slot_normal_form(_homogenized(terms, degree), homogenized, leads, ties))
 
 
-def _reference_buchberger(gens, rank):
+def _reference_buchberger(gens, rank, keys):
     """Stands in for `_buchberger`: the completion on explicitly
     homogenized vectors, each generator to its largest term degree, so
     every lead, lcm, pair degree and criterion sees the homogenizing
     exponent.  Pairs and reductions run as in the engine, but each
     S-vector is built whole and reduced step by step."""
+    packing = _Packing(keys)
     G = []
     for g in gens:
         if g:
-            terms = _vec_primitive(g).terms
+            terms = _reference_primitive(packing.terms(g), sort_key)
             G.append(_homogenized(terms, max(sum(m) for _, m in terms)))
     leads = [_lead(g, _slot_key) for g in G]
 
@@ -571,50 +590,61 @@ def _reference_buchberger(gens, rank):
             for k in range(len(G) - 1):
                 if lead_of(k)[0] == lead_of(len(G) - 1)[0]:
                     push(k, len(G) - 1)
-    return [_dehomogenized(g) for g in G]
+    return [packing.vec(_dehomogenized(g)) for g in G]
+
+
+def _reference_ecart(terms):
+    return max(sum(m) for _, m in terms) - sum(_lead(terms, sort_key)[0][1])
 
 
 def _reference_mora_normal_form(f, reducers, grown):
-    """Mora's weak normal form one primitive copying step at a time; appends
-    to grown the lead of each partial remainder T keeps."""
+    """Mora's weak normal form one primitive copying step at a time on
+    terms dicts; appends to grown the lead of each partial remainder T
+    keeps."""
     T = list(reducers)
     h = f
     while h:
-        (hcomp, hmono), _ = h.lead()
+        hlead = _lead(h, sort_key)
+        (hcomp, hmono), _ = hlead
         best, best_key = None, None
         for idx, g in enumerate(T):
-            (gcomp, gmono), _ = g.lead()
+            (gcomp, gmono), _ = _lead(g, sort_key)
             if gcomp != hcomp or not mono_divides(gmono, hmono):
                 continue
             gk = sort_key(gmono)
-            key = (g.ecart(), -gk[0], tuple(-x for x in gk[1]), idx)
+            key = (_reference_ecart(g), -gk[0], tuple(-x for x in gk[1]), idx)
             if best is None or key < best_key:
                 best, best_key = g, key
         if best is None:
             return h
-        if best.ecart() > h.ecart():
+        if _reference_ecart(best) > _reference_ecart(h):
             T.append(h)
             grown.append(hmono)
-        h = _Vec(_reference_reduce_step(h.terms, h.lead(), best.terms, best.lead()))
+        h = _reference_reduce_step(h, hlead, best, _lead(best, sort_key))
     return h
 
 
 def _random_homogeneous_vec(rng, nvars, rank, degree, nterms):
-    """Primitive vector of homogenized degree `degree`, as the engine keeps
-    it: each term's degree is shared out among the nvars variables and the
-    homogenizing one, whose exponent is then dropped."""
+    """Primitive terms dict of homogenized degree `degree`, as the engine
+    keeps a vector: each term's degree is shared out among the nvars
+    variables and the homogenizing one, whose exponent is then dropped."""
     terms = {}
     for _ in range(nterms):
         mono = [0] * (nvars + 1)
         for _ in range(degree):
             mono[rng.randrange(nvars + 1)] += 1
         terms[(rng.randrange(rank), tuple(mono[:-1]))] = rng.choice((-6, -3, -2, -1, 1, 2, 3, 4, 9))
-    return _vec_primitive(_Vec(terms))
+    return _reference_primitive(terms, sort_key)
+
+
+# The engine's keys for the random vectors above, in three variables.
+_PACKING3 = _Packing(_Keys(3, _first_width(0)))
 
 
 @pytest.mark.parametrize("rank", [1, 2])
 def test_s_vector_made_primitive_matches_reference(rank):
     rng = random.Random(30 + rank)
+    packing = _PACKING3
     pairs = zero = scaled = 0
     while pairs < 150:
         gi, gj = (
@@ -622,13 +652,14 @@ def test_s_vector_made_primitive_matches_reference(rank):
             for _ in range(2)
         )
         if rng.random() < 0.1:
-            gj = _vec_primitive(_Vec({k: 3 * c for k, c in gi.terms.items()}))
-        (ci, mi), ai = gi.lead()
-        (cj, mj), aj = gj.lead()
+            gj = _reference_primitive({k: 3 * c for k, c in gi.items()}, sort_key)
+        (ci, mi), ai = _lead(gi, sort_key)
+        (cj, mj), aj = _lead(gj, sort_key)
         if ci != cj:
             continue
-        got = _vec_primitive(_Vec(_s_vector(gi, gj, mono_lcm(mi, mj))))
-        assert got.terms == _reference_spair(gi.terms, gj.terms)
+        lcm_ij = packing.keys.pack(ci, mono_lcm(mi, mj))
+        got = _vec_primitive(_Vec(_s_vector(packing.vec(gi), packing.vec(gj), lcm_ij)))
+        assert packing.terms(got) == _reference_spair(gi, gj)
         pairs += 1
         zero += not got
         scaled += ai % aj != 0  # gc != 1: the kernel scales h
@@ -646,14 +677,16 @@ def test_mora_normal_form_matches_reference():
         for _ in range(300):
             basis = [random_poly(ring, rng, 3, 3, allow_constant=False) for _ in range(3)]
             f = random_poly(ring, rng, 5, 4, allow_constant=False)
-            reducers = [_vec_from_components([g]) for g in basis if g]
-            start = _vec_from_components([f])
+            # the engine's way in, unpacked
+            packing = _Packing(_Keys(ring.nvars, _first_width(0)))
+            reducers = [packing.terms(_vec_from_components([g], packing.keys)) for g in basis if g]
+            start = packing.terms(_vec_from_components([f], packing.keys))
             expected = _reference_mora_normal_form(start, reducers, grown)
             got = normal_form(f, basis)
             if expected is start:
                 assert got is f
             else:
-                assert got == standard_bases._components(expected, 1, ring)[0]
+                assert got == Poly(ring, {m: Fraction(c) for (_, m), c in expected.items()})
                 reduced += 1
     assert reduced > 100
     assert len(grown) > 50
@@ -662,6 +695,7 @@ def test_mora_normal_form_matches_reference():
 @pytest.mark.parametrize("rank", [1, 2])
 def test_in_place_reducer_matches_step_by_step_reference(rank):
     rng = random.Random(8 + rank)
+    packing = _PACKING3
     ties, reduced = [], 0
     for _ in range(60):
         # eight reducers of 1-3 terms: several share a length
@@ -670,15 +704,16 @@ def test_in_place_reducer_matches_step_by_step_reference(rank):
             degree = rng.randint(1, 3)
             g = _random_homogeneous_vec(rng, 3, rank, degree, rng.randint(1, 3))
             reducers.append(g)
-            exps.append(degree - sum(g.lead()[0][1]))
+            exps.append(degree - sum(_lead(g, sort_key)[0][1]))
         degree = rng.randint(3, 6)
         f = _random_homogeneous_vec(rng, 3, rank, degree, rng.randint(4, 12))
-        expected = _reference_global_normal_form(f.terms, degree, reducers, exps, ties)
-        table = sorted(_reducer_entry(g, e, idx) for idx, (g, e) in enumerate(zip(reducers, exps)))
+        expected = _reference_global_normal_form(f, degree, reducers, exps, ties)
+        table = sorted(_reducer_entry(packing.vec(g), e, idx, packing.keys)
+                       for idx, (g, e) in enumerate(zip(reducers, exps)))
         with time_limit(10):
-            got = _global_normal_form(dict(f.terms), degree, table)
-            assert got.terms == expected.terms
-        reduced += expected.terms != f.terms
+            got = _global_normal_form(packing.vec(f).terms, degree, table, packing.keys)
+            assert packing.terms(got) == expected
+        reduced += expected != f
     assert reduced > 40
     assert len(ties) > 20
 
@@ -756,29 +791,36 @@ def test_reducer_table_holds_each_basis_element_once(monkeypatch):
     basis = []  # (terms, exponent of t in the lead) per basis element
     calls = []
 
-    def buchberger(gens, rank):
+    packing = None
+
+    def buchberger(gens, rank, keys):
+        nonlocal packing
+        packing = _Packing(keys)
         basis.clear()
         for g in gens:
             if g:
-                (_, lead), _ = _lead(g.terms, sort_key)
-                basis.append((_reference_primitive(g.terms, sort_key),
-                              max(sum(m) for _, m in g.terms) - sum(lead)))
-        return engine_buchberger(gens, rank)
+                terms = packing.terms(g)
+                (_, lead), _ = _lead(terms, sort_key)
+                basis.append((_reference_primitive(terms, sort_key),
+                              max(sum(m) for _, m in terms) - sum(lead)))
+        return engine_buchberger(gens, rank, keys)
 
-    def checked_normal_form(h, degree, table):
+    def checked_normal_form(h, degree, table, keys):
         assert [entry[0] for entry in table] == sorted(entry[0] for entry in table)
         assert sorted(entry[0][-1] for entry in table) == list(range(len(basis)))
         for entry in table:
             g = entry[-1]
             idx = entry[0][-1]
             terms, e = basis[idx]
-            assert g.terms == terms
-            (comp, lead), _ = _lead(g.terms, sort_key)
-            assert entry == ((len(terms), -(sum(lead) + e), sort_key(lead), idx), comp, lead, e, g)
-        out = engine_normal_form(h, degree, table)
+            assert packing.terms(g) == terms
+            (comp, lead), _ = _lead(terms, sort_key)
+            key = keys.pack(comp, lead)
+            assert entry == ((len(terms), -(sum(lead) + e), key, idx), comp, key, e, g)
+        out = engine_normal_form(h, degree, table, keys)
         if out:
-            (_, lead), _ = _lead(out.terms, sort_key)
-            basis.append((out.terms, degree - sum(lead)))
+            terms = packing.terms(out)
+            (_, lead), _ = _lead(terms, sort_key)
+            basis.append((terms, degree - sum(lead)))
         calls.append(len(table))
         return out
 
@@ -791,6 +833,128 @@ def test_reducer_table_holds_each_basis_element_once(monkeypatch):
         assert module_colength(*omega_quotient_generators(threefold, form)) == 8
     assert len(calls) > 100
     assert len(set(calls)) > 20  # the tables grew
+
+
+# -- packed term keys ------------------------------------------------------------
+
+# derandomize: the same examples on every run, so tier-1 stays deterministic.
+KEYS_PROPERTY = settings(derandomize=True, deadline=None, max_examples=150)
+
+
+@st.composite
+def _key_cases(draw):
+    """Keys for 1-5 variables at a width from 2 to 40 bits, a component
+    for rank 1-3, and a function drawing monomials whose exponents run
+    from 0 to limit - 1, both ends included, cut in a drawn variable order
+    so that the degree stays at or below a budget (limit - 1 at most)."""
+    nvars = draw(st.integers(1, 5))
+    keys = _Keys(nvars, draw(st.integers(2, 40)))
+    top = keys.limit - 1
+    comp = draw(st.integers(0, 2))
+
+    def monomial(budget=top):
+        exps = draw(st.lists(st.one_of(st.just(0), st.just(top), st.integers(0, top)),
+                             min_size=nvars, max_size=nvars))
+        mono = [0] * nvars
+        for i in draw(st.permutations(range(nvars))):
+            mono[i] = min(exps[i], budget)
+            budget -= mono[i]
+        return tuple(mono)
+
+    return keys, comp, monomial
+
+
+@KEYS_PROPERTY
+@given(_key_cases(), st.integers(0, 2))
+def test_packed_keys_round_trip_in_the_term_order(case, other_comp):
+    keys, comp, monomial = case
+    a, b = monomial(), monomial()
+    ka, kb = keys.pack(comp, a), keys.pack(other_comp, b)
+    assert keys.unpack(ka) == (comp, a) and keys.unpack(kb) == (other_comp, b)
+    assert keys.degree(ka) == sum(a)
+    assert (ka < kb) == ((comp, sort_key(a)) < (other_comp, sort_key(b)))
+    assert (ka == kb) == ((comp, a) == (other_comp, b))
+
+
+@KEYS_PROPERTY
+@given(_key_cases())
+def test_packed_product_is_one_addition(case):
+    keys, comp, monomial = case
+    a = monomial()
+    b = monomial(keys.limit - 1 - sum(a))  # a*b stays in range
+    assert keys.pack(comp, a) + keys.pack(0, b) == keys.pack(comp, mono_mul(a, b))
+    assert keys.pack(comp, mono_mul(a, b)) - keys.pack(comp, a) == keys.pack(0, b)
+
+
+@KEYS_PROPERTY
+@given(_key_cases(), st.data())
+def test_borrow_test_is_monomial_divisibility(case, data):
+    keys, comp, monomial = case
+    a = monomial()
+    multiple = mono_mul(a, monomial(keys.limit - 1 - sum(a)))
+    # the multiple with one exponent one below a's: a borrow starts there
+    short = list(multiple)
+    i = data.draw(st.integers(0, keys.nvars - 1))
+    if a[i]:
+        short[i] = a[i] - 1
+    for b in (monomial(), multiple, tuple(short)):
+        assert keys.divides(keys.pack(comp, a), keys.pack(comp, b)) == mono_divides(a, b), b
+        assert keys.divides(keys.pack(comp, b), keys.pack(comp, a)) == mono_divides(b, a), b
+
+
+def _record_widths(monkeypatch):
+    """The width of every set of keys the engine makes from now on."""
+    widths = []
+
+    class Recorded(_Keys):
+        def __init__(self, nvars, width):
+            widths.append(width)
+            super().__init__(nvars, width)
+
+    monkeypatch.setattr(standard_bases, "_Keys", Recorded)
+    return widths
+
+
+def _past_the_first_limit():
+    """The first width, and a degree N that it holds while 2N passes its
+    limit of 2^(width - 1)."""
+    first = _first_width(0)
+    n = 3 * (1 << (first - 1)) // 4
+    assert _first_width(n) == first and 2 * n >= 1 << (first - 1)
+    return first, n
+
+
+def test_completion_restarts_at_twice_the_width(monkeypatch, ring_xy):
+    # The pair of x^N and y^N has degree 2N: past the first limit.
+    first, n = _past_the_first_limit()
+    zero = ring_xy.zero_poly()
+    gens = [FreeModuleElement(2, [P("x^%d" % n, ring_xy), zero]),
+            FreeModuleElement(2, [P("y^%d" % n, ring_xy), zero]),
+            FreeModuleElement(2, [zero, P("x", ring_xy)]),
+            FreeModuleElement(2, [zero, P("y", ring_xy)])]
+    widths = _record_widths(monkeypatch)
+    with time_limit(10):
+        assert module_colength(2, gens) == n * n + 1
+        assert widths == [first, 2 * first]
+        assert module_standard_basis(2, gens) == gens
+        assert widths == [first, 2 * first] * 2
+
+
+def test_normal_form_restarts_at_twice_the_width(monkeypatch, ring_xy):
+    # One Mora step: x*y^N - y^N*(x + y^N) = -y^(2N), past the first limit.
+    first, n = _past_the_first_limit()
+    widths = _record_widths(monkeypatch)
+    with time_limit(10):
+        assert normal_form(P("x*y^%d" % n, ring_xy), [P("x + y^%d" % n, ring_xy)]) == P("y^%d" % (2 * n), ring_xy)
+    assert widths == [first, 2 * first]
+
+
+def test_corpus_completions_need_no_restart(monkeypatch):
+    widths = _record_widths(monkeypatch)
+    with time_limit(20):
+        assert colength(_dense_ideal(4)) == 155
+        assert colength(algebra_ideal(*_threefold_and_form())) == 8
+    assert widths == [_first_width(0)] * 2
 
 
 def test_dense_k7_colength_within_time_bound():
@@ -806,8 +970,7 @@ def test_completion_returns_primitive_integer_vectors():
     module_rank, module_gens = omega_quotient_generators(*_threefold_and_form())
     for rank, components in [(1, [[g] for g in _dense_ideal(4).generators]),
                              (module_rank, [g.components for g in module_gens])]:
-        vecs = [_vec_from_components(c) for c in components]
-        basis = standard_bases._minimalize(standard_bases._buchberger(vecs, rank))
+        _, basis = standard_bases._complete(rank, components)
         assert basis
         for v in basis:
             assert all(type(c) is int for c in v.terms.values())
