@@ -329,9 +329,9 @@ def _cmd_icis(data: ManifestData, args):
 
 
 def _cmd_gmvs(data: ManifestData, args):
-    sing = data.singularity()
+    sing, form = data.singularity(), data.one_form()
     try:
-        ideal = gmvs_ideal(sing, data.one_form())
+        ideal = gmvs_ideal(sing, form)
     except ValueError as exc:
         raise ManifestError("matrix", str(exc)) from None
     return _colength_command(args, "gmvs_index", True, ideal)

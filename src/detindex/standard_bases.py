@@ -32,13 +32,14 @@ g does not divide that of h.  An S-vector is the first step of its own
 reduction: x^(lcm/lead gi)*gi is cancelled against gj at the lcm, and
 the same dict is reduced on.  Its lead comes from a heap of term keys
 with lazy deletion: a key whose term has cancelled is skipped when it
-surfaces, and the heap is rebuilt from the live terms once stale keys
-outnumber them.  The content is removed every few steps and at the end.
-The completion keeps one table of reducers in choice order, (number of
-terms, homogenized lead degree descending, lead key, position): each
-basis element enters the basis, its pairs and this table in one step,
-and a reduction uses the first entry of the lead's component whose lead
-divides the remainder's.
+surfaces.  The content is removed every few steps and at the end.
+Under position over term only elements leading in one component reduce
+or pair with each other, so the completion keeps, per component, a table
+of reducers in choice order, (number of terms, homogenized lead degree
+descending, lead key, position), and the list of elements leading there.
+A new basis element enters both and is paired with that list.  A
+reduction step takes, from the table of the remainder's lead component,
+the first entry whose lead divides the remainder's.
 Every remainder is a nonzero multiple of the one a step-by-step
 primitive reduction would hold, so both choose the same reducers and
 end in the same primitive vector.  A Mora step runs the kernel on a
@@ -424,17 +425,17 @@ _CONTENT_EVERY = 8
 
 
 def _reducer_entry(g: _Vec, e: int, index: int, keys: _Keys) -> tuple:
-    """The entry of basis element `index`, g with t^e in its lead, in the
-    reducer table: choice key, then what a division step reads."""
+    """The entry of basis element `index`, g with t^e in its lead, in its
+    component's reducer table: choice key, then what a division step reads."""
     lead = g.lead()[0]
-    return ((len(g.terms), -(keys.degree(lead) + e), lead, index), lead >> keys.comp_shift, lead, e, g)
+    return ((len(g.terms), -(keys.degree(lead) + e), lead, index), lead, e, g)
 
 
-def _global_normal_form(h: dict, degree: int, reducers: Sequence[tuple], keys: _Keys) -> _Vec:
+def _global_normal_form(h: dict, degree: int, tables: Sequence[list], keys: _Keys) -> _Vec:
     """Plain lead reduction of the terms h of a homogeneous vector of
-    degree `degree`, in place (see module docstring), against a reducer
-    table of _reducer_entry entries in ascending order; the first divisor
-    wins.  Terminates as is."""
+    degree `degree`, in place (see module docstring), against one table
+    per component of _reducer_entry entries in ascending order; the first
+    divisor in the lead's component table wins.  Terminates as is."""
     tops, mask = keys.tops, keys.mask
     degree_shift, comp_shift = keys.degree_shift, keys.comp_shift
     heap = list(h)
@@ -445,11 +446,10 @@ def _global_normal_form(h: dict, degree: int, reducers: Sequence[tuple], keys: _
         if lead not in h:
             heapq.heappop(heap)  # cancelled since it was pushed
             continue
-        hcomp = lead >> comp_shift
         hexp = degree - ((lead >> degree_shift) & mask)
         covered = lead | tops
-        for _, gcomp, glead, gexp, g in reducers:
-            if gcomp == hcomp and gexp <= hexp and (covered - glead) & tops == tops:
+        for _, glead, gexp, g in tables[lead >> comp_shift]:
+            if gexp <= hexp and (covered - glead) & tops == tops:
                 break
         else:
             break  # the lead is irreducible
@@ -461,10 +461,6 @@ def _global_normal_form(h: dict, degree: int, reducers: Sequence[tuple], keys: _
             if content != 1:
                 for k in h:
                     h[k] //= content
-        if len(heap) > 2 * len(h):
-            # stale keys outnumber live terms, each of which has a key here
-            heap = list(h)
-            heapq.heapify(heap)
     out = _Vec(h)
     if h:
         out._lead = (lead, h[lead])
@@ -476,12 +472,14 @@ def _buchberger(gens: Sequence[_Vec], rank: int, keys: _Keys) -> List[_Vec]:
     set to 1 in the result."""
     tops, limit = keys.tops, keys.limit
     G: List[_Vec] = []
-    leads: list = []  # leads[i]: (component, exponent tuple) of the lead of G[i]
+    leads: List[Monomial] = []  # leads[i]: the exponent tuple of the lead of G[i]
     lead_keys: List[int] = []
     exps: List[int] = []  # exps[i]: the exponent of t in the lead of G[i]
-    # Reducer entries in choice order: fewest terms, then greatest
-    # homogenized lead degree, then greatest lead, then first added.
-    table: list = []
+    # Per component: reducer entries in choice order (fewest terms, then
+    # greatest homogenized lead degree, then greatest lead, then first
+    # added), and the indices of the elements leading there.
+    tables: List[list] = [[] for _ in range(rank)]
+    members: List[List[int]] = [[] for _ in range(rank)]
     # Heap entries are (homogenized lcm degree, key of lcm, i, j): a
     # total order, as (i, j) is unique.
     pairs: list = []
@@ -493,19 +491,19 @@ def _buchberger(gens: Sequence[_Vec], rank: int, keys: _Keys) -> List[_Vec]:
         lead = v.lead()[0]
         comp, m = keys.unpack(lead)
         G.append(v)
-        leads.append((comp, m))
+        leads.append(m)
         lead_keys.append(lead)
         exps.append(e)
-        bisect.insort(table, _reducer_entry(v, e, new, keys))
-        for k in range(new):
-            if leads[k][0] == comp:
-                lcm_kn = mono_lcm(leads[k][1], m)
-                degree = sum(lcm_kn) + max(exps[k], e)
-                # Bounds every exponent and degree of the pair's S-vector
-                # and its reduction; see _at_fitting_width for the restart.
-                if degree >= limit:
-                    raise _Overflow
-                heapq.heappush(pairs, (degree, keys.pack(comp, lcm_kn), k, new))
+        bisect.insort(tables[comp], _reducer_entry(v, e, new, keys))
+        for k in members[comp]:
+            lcm_kn = mono_lcm(leads[k], m)
+            degree = sum(lcm_kn) + max(exps[k], e)
+            # Bounds every exponent and degree of the pair's S-vector
+            # and its reduction; see _at_fitting_width for the restart.
+            if degree >= limit:
+                raise _Overflow
+            heapq.heappush(pairs, (degree, keys.pack(comp, lcm_kn), k, new))
+        members[comp].append(new)
 
     for g in gens:
         if g:
@@ -520,15 +518,14 @@ def _buchberger(gens: Sequence[_Vec], rank: int, keys: _Keys) -> List[_Vec]:
         done.add((i, j))
         if rank == 1 and min(exps[i], exps[j]) == 0 and lcm_ij == lead_keys[i] + lead_keys[j]:
             continue  # product criterion; sound for ideals only
-        comp = leads[i][0]
         lcm_exp = max(exps[i], exps[j])
         covered = lcm_ij | tops
-        if any(leads[k][0] == comp and k != i and k != j and exps[k] <= lcm_exp
-               and (covered - lk) & tops == tops
+        if any(k != i and k != j and exps[k] <= lcm_exp
+               and (covered - lead_keys[k]) & tops == tops
                and (min(i, k), max(i, k)) in done and (min(j, k), max(j, k)) in done
-               for k, lk in enumerate(lead_keys)):
+               for k in members[lcm_ij >> keys.comp_shift]):
             continue  # chain criterion
-        h = _global_normal_form(_s_vector(G[i], G[j], lcm_ij), degree, table, keys)
+        h = _global_normal_form(_s_vector(G[i], G[j], lcm_ij), degree, tables, keys)
         if h:
             add(h, degree - keys.degree(h.lead()[0]))
     return G

@@ -290,15 +290,126 @@ def test_deeply_nested_entry_names_field(tmp_path, capsys):
     assert "ideal" in err and "nested too deeply" in err
 
 
-def test_missing_form_names_field(capsys, tmp_path):
+@pytest.mark.parametrize("command", ["alg-index", "hom-index", "icis", "gmvs"])
+def test_missing_form_names_field(capsys, tmp_path, command):
     path = write_manifest(tmp_path, {
         "variables": ["x", "y"],
         "matrix": [["x^2 + y^2"]],
         "t": 1,
     })
-    code, _, err = run_cli(capsys, "alg-index", path)
+    code, out, err = run_cli(capsys, command, path)
     assert code == 1
-    assert "form" in err
+    assert out == ""
+    assert err.startswith("error: manifest field 'form':")
+
+
+# The generic 2 x 3 matrix in C^6, where N is the isolation bound for t = 2,
+# and a variant whose singular stratum has infinite colength.
+SIX = ["x", "y", "z", "u", "v", "w"]
+GENERIC_232 = [["x", "y", "z"], ["u", "v", "w"]]
+DEGENERATE_232 = [["x", "y", "z"], ["u", "v", "x"]]
+
+
+def test_check_reports_chi_sing_at_the_isolation_bound(tmp_path, capsys):
+    path = write_manifest(tmp_path, {"variables": SIX, "matrix": GENERIC_232, "t": 2})
+    code, out, _ = run_cli(capsys, "check", path)
+    assert code == 0
+    result = json.loads(out)["result"]
+    assert result["sing_stratum_colength_finite"] is True
+    assert result["chi_sing"] == 1
+
+
+def test_check_omits_chi_sing_when_its_colength_is_infinite(tmp_path, capsys):
+    path = write_manifest(tmp_path, {"variables": SIX, "matrix": DEGENERATE_232, "t": 2})
+    code, out, _ = run_cli(capsys, "check", path)
+    assert code == 0
+    result = json.loads(out)["result"]
+    assert result["sing_stratum_colength_finite"] is False
+    assert "chi_sing" not in result
+
+
+def test_convert_computes_chi_sing_from_the_matrix(tmp_path, capsys):
+    # the shipped manifest gives chi_sing = 1 by hand; here it is computed
+    path = write_manifest(tmp_path, {"variables": SIX, "matrix": GENERIC_232, "t": 2,
+                                     "radial": [1, 3], "chi": [1, 4]})
+    code, out, _ = run_cli(capsys, "convert", path)
+    assert code == 0
+    code, shipped, _ = run_cli(capsys, "convert", os.path.join(MANIFEST_DIR, "convert-generic-232.json"))
+    assert code == 0
+    assert json.loads(out)["result"] == json.loads(shipped)["result"]
+
+
+def test_convert_without_a_finite_chi_sing_exits_two(tmp_path, capsys):
+    path = write_manifest(tmp_path, {"variables": SIX, "matrix": DEGENERATE_232, "t": 2,
+                                     "radial": [1, 3], "chi": [1, 4]})
+    code, out, _ = run_cli(capsys, "convert", path)
+    assert code == 2
+    result = json.loads(out)["result"]
+    assert "isolated" not in result
+    assert result["radial_roundtrip"] == 3
+
+
+_ABSENT = object()  # a manifest path with no file behind it
+_TYPE_232 = {"type": [2, 3, 2], "N": 6}
+
+
+@pytest.mark.parametrize("argv, doc, field, message", [
+    pytest.param(["check"], _ABSENT, "(file)", "No such file", id="no-file"),
+    pytest.param(["check"], [1], "(file)", "top-level value must be an object", id="top-level-list"),
+    pytest.param(["check"], {"manifest": 3, "command": "check"}, "manifest",
+                 "embedded manifest must be an object", id="embedded-manifest"),
+    pytest.param(["check"], {"variables": []}, "variables", "must be a nonempty list of strings",
+                 id="variables-empty"),
+    pytest.param(["check"], {"variables": ["x", "x"]}, "variables", "variable names must be distinct",
+                 id="variables-repeated"),
+    pytest.param(["check"], {"matrix": GENERIC_232, "t": 2}, "variables", "required when a matrix is given",
+                 id="matrix-without-variables"),
+    pytest.param(["check"], {"variables": SIX, "matrix": []}, "matrix", "must be a nonempty list of rows",
+                 id="matrix-empty"),
+    pytest.param(["check"], {"variables": SIX, "matrix": [["x + 1", "y", "z"], ["u", "v", "w"]], "t": 2},
+                 "matrix", "matrix entries must vanish at the origin", id="matrix-unit-entry"),
+    pytest.param(["check"], {"variables": SIX, "matrix": GENERIC_232}, "t", "required when a matrix is given",
+                 id="t-missing"),
+    pytest.param(["check"], {"variables": SIX, "matrix": GENERIC_232, "t": "2"}, "t", "must be an integer",
+                 id="t-string"),
+    pytest.param(["alg-index"], {"form": ["1"]}, "variables", "required when a form is given",
+                 id="form-without-variables"),
+    pytest.param(["alg-index"], {"variables": SIX, "matrix": GENERIC_232, "t": 2, "form": ["1"]}, "form",
+                 "must list one coefficient per variable", id="form-short"),
+    pytest.param(["colength"], {"ideal": ["x"]}, "variables", "required when an ideal is given",
+                 id="ideal-without-variables"),
+    pytest.param(["minors", "--size", "5"], {"variables": SIX, "matrix": GENERIC_232, "t": 2}, "(--size)",
+                 "minor size out of range", id="size-too-large"),
+    pytest.param(["convert"], {"N": 6, "radial": [1, 3], "chi": [1, 4]}, "type",
+                 "required when no matrix is given", id="type-missing"),
+    pytest.param(["convert"], {"type": [2, 3], "N": 6, "radial": [1, 3], "chi": [1, 4]}, "type",
+                 "must have length 3", id="type-short"),
+    pytest.param(["convert"], {"type": [2, 3, 2], "radial": [1, 3], "chi": [1, 4]}, "N",
+                 "required (integer) when no matrix is given", id="N-missing"),
+    pytest.param(["convert"], dict(_TYPE_232, radial=[1, "3"], chi=[1, 4]), "radial",
+                 "must be a list of integers", id="radial-not-integers"),
+    pytest.param(["convert"], dict(_TYPE_232, radial=[1, 3]), "chi", "required for conversions",
+                 id="chi-missing"),
+    pytest.param(["convert"], dict(_TYPE_232, radial=[1, 3], chi=[1, 4], chi_sing="1"), "chi_sing",
+                 "must be an integer", id="chi-sing-string"),
+    pytest.param(["tables", "--type", "2,x,2"], None, "(--type)", "expected m,n,t integers",
+                 id="tables-type-not-integers"),
+    pytest.param(["tables", "--type", "3,2,2"], None, "type", "need 1 <= t <= m <= n",
+                 id="tables-type-order"),
+    pytest.param(["tables"], None, "(--type)", "required when no manifest is given", id="tables-no-input"),
+])
+def test_each_validation_error_names_its_field(tmp_path, capsys, argv, doc, field, message):
+    argv = list(argv)
+    if doc is _ABSENT:
+        argv.insert(1, str(tmp_path / "absent.json"))
+    elif doc is not None:
+        argv.insert(1, write_manifest(tmp_path, doc))
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: manifest field '%s': " % field)
+    assert message in err
+    assert err.count("\n") == 1
 
 
 @pytest.mark.parametrize("field, entries, message", [

@@ -56,6 +56,16 @@ def test_parse_syntax_error_carries_position(ring_xy):
     assert err.value.position == 4
 
 
+def test_parse_unexpected_character_carries_position(ring_xy):
+    with pytest.raises(PolyParseError, match=r"unexpected character '\$'") as err:
+        P("x $ y", ring_xy)
+    assert err.value.position == 2
+
+
+def test_parse_ignores_trailing_whitespace(ring_xy):
+    assert P("x + y ", ring_xy) == P("x + y", ring_xy)
+
+
 def test_parse_rejects_trailing_garbage(ring_xy):
     with pytest.raises(PolyParseError):
         P("x y", ring_xy)

@@ -708,10 +708,13 @@ def test_in_place_reducer_matches_step_by_step_reference(rank):
         degree = rng.randint(3, 6)
         f = _random_homogeneous_vec(rng, 3, rank, degree, rng.randint(4, 12))
         expected = _reference_global_normal_form(f, degree, reducers, exps, ties)
-        table = sorted(_reducer_entry(packing.vec(g), e, idx, packing.keys)
-                       for idx, (g, e) in enumerate(zip(reducers, exps)))
+        # one table per component, each in choice order
+        tables = [sorted(_reducer_entry(packing.vec(g), e, idx, packing.keys)
+                         for idx, (g, e) in enumerate(zip(reducers, exps))
+                         if _lead(g, sort_key)[0][0] == comp)
+                  for comp in range(rank)]
         with time_limit(10):
-            got = _global_normal_form(packing.vec(f).terms, degree, table, packing.keys)
+            got = _global_normal_form(packing.vec(f).terms, degree, tables, packing.keys)
             assert packing.terms(got) == expected
         reduced += expected != f
     assert reduced > 40
@@ -783,19 +786,21 @@ def test_module_completion_matches_step_by_step_reference(monkeypatch):
 
 
 def test_reducer_table_holds_each_basis_element_once(monkeypatch):
-    # Every division of the completion must see the table kept so far:
-    # ascending, one entry per basis element, each entry as made afresh
-    # from its vector and the exponent of t in its lead.
+    # Every division of the completion must see the tables kept so far:
+    # one per component, each ascending and holding exactly the basis
+    # elements leading in its component, each entry as made afresh from
+    # its vector and the exponent of t in its lead.
     engine_buchberger = standard_bases._buchberger
     engine_normal_form = standard_bases._global_normal_form
     basis = []  # (terms, exponent of t in the lead) per basis element
     calls = []
 
     packing = None
+    module_rank = None
 
     def buchberger(gens, rank, keys):
-        nonlocal packing
-        packing = _Packing(keys)
+        nonlocal packing, module_rank
+        packing, module_rank = _Packing(keys), rank
         basis.clear()
         for g in gens:
             if g:
@@ -805,23 +810,27 @@ def test_reducer_table_holds_each_basis_element_once(monkeypatch):
                               max(sum(m) for _, m in terms) - sum(lead)))
         return engine_buchberger(gens, rank, keys)
 
-    def checked_normal_form(h, degree, table, keys):
-        assert [entry[0] for entry in table] == sorted(entry[0] for entry in table)
-        assert sorted(entry[0][-1] for entry in table) == list(range(len(basis)))
-        for entry in table:
-            g = entry[-1]
-            idx = entry[0][-1]
-            terms, e = basis[idx]
-            assert packing.terms(g) == terms
-            (comp, lead), _ = _lead(terms, sort_key)
-            key = keys.pack(comp, lead)
-            assert entry == ((len(terms), -(sum(lead) + e), key, idx), comp, key, e, g)
-        out = engine_normal_form(h, degree, table, keys)
+    def checked_normal_form(h, degree, tables, keys):
+        assert len(tables) == module_rank
+        lead_comps = [_lead(terms, sort_key)[0][0] for terms, _ in basis]
+        for comp, table in enumerate(tables):
+            assert [entry[0] for entry in table] == sorted(entry[0] for entry in table)
+            assert sorted(entry[0][-1] for entry in table) == [
+                idx for idx, c in enumerate(lead_comps) if c == comp]
+            for entry in table:
+                g = entry[-1]
+                idx = entry[0][-1]
+                terms, e = basis[idx]
+                assert packing.terms(g) == terms
+                (_, lead), _ = _lead(terms, sort_key)
+                key = keys.pack(comp, lead)
+                assert entry == ((len(terms), -(sum(lead) + e), key, idx), key, e, g)
+        out = engine_normal_form(h, degree, tables, keys)
         if out:
             terms = packing.terms(out)
             (_, lead), _ = _lead(terms, sort_key)
             basis.append((terms, degree - sum(lead)))
-        calls.append(len(table))
+        calls.append([len(table) for table in tables])
         return out
 
     monkeypatch.setattr(standard_bases, "_buchberger", buchberger)
@@ -832,7 +841,8 @@ def test_reducer_table_holds_each_basis_element_once(monkeypatch):
         assert colength(algebra_ideal(threefold, form)) == 8
         assert module_colength(*omega_quotient_generators(threefold, form)) == 8
     assert len(calls) > 100
-    assert len(set(calls)) > 20  # the tables grew
+    assert len({sum(sizes) for sizes in calls}) > 20  # the tables grew
+    assert any(sum(1 for n in sizes if n) > 1 for sizes in calls)  # the module fills several
 
 
 # -- packed term keys ------------------------------------------------------------
