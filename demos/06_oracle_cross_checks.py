@@ -19,7 +19,6 @@ from detindex import (
     parse_poly,
     stabilized_colength,
     stabilized_module_colength,
-    truncated_colength_oracle,
 )
 
 ring = RingContext(("x", "y", "z", "u"))
@@ -48,6 +47,6 @@ print("stabilized:", mreport.stabilized, "| value:", mreport.value,
 # a non-stabilizing run is an honest signal of an infinite quotient
 r2 = RingContext(("x", "y"))
 curve = Ideal([parse_poly("x*y", r2)])
-honest = truncated_colength_oracle(curve, 8)
+honest = stabilized_colength(curve, ceiling=8)
 print("plane curve (x*y), dims keep growing:", [d for _, d in honest.per_degree],
       "| stabilized:", honest.stabilized)

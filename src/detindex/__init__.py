@@ -66,8 +66,6 @@ from .truncation import (
     TruncationReport,
     stabilized_colength,
     stabilized_module_colength,
-    truncated_colength_oracle,
-    truncated_module_colength,
 )
 
 __version__ = "0.1.0"
@@ -122,6 +120,4 @@ __all__ = [
     "standard_basis",
     "stratum_dim",
     "stratum_ideal",
-    "truncated_colength_oracle",
-    "truncated_module_colength",
 ]

@@ -185,6 +185,15 @@ class ManifestData:
             if self.ring is None:
                 raise ManifestError("variables", "required when an ideal is given")
             self.ideal = _parse_polys("ideal", _require_string_list(manifest, "ideal"), self.ring)
+        # Every report copies these fields as given, so their types are
+        # checked for every command; t and the ranges are checked where used.
+        for field, length in (("type", 3), ("radial", None), ("chi", None)):
+            if manifest.get(field) is not None:
+                _require_int_list(manifest, field, length)
+        for field in ("N", "chi_sing"):
+            value = manifest.get(field)
+            if value is not None and (not isinstance(value, int) or isinstance(value, bool)):
+                raise ManifestError(field, "must be an integer")
 
     def singularity(self) -> DetSingularity:
         if self.matrix is None:
@@ -206,10 +215,9 @@ class ManifestData:
         triple = self.raw.get("type")
         if triple is None:
             raise ManifestError("type", "required when no matrix is given")
-        triple = _require_int_list(self.raw, "type", 3)
         m, n, t = triple
         ambient = self.raw.get("N", self.ring.nvars if self.ring else None)
-        if not isinstance(ambient, int) or isinstance(ambient, bool):
+        if ambient is None:
             raise ManifestError("N", "required (integer) when no matrix is given")
         if ambient < 1:
             raise ManifestError("N", "must be at least 1")
@@ -345,10 +353,7 @@ def _cmd_convert(data: ManifestData, args):
         raise ManifestError("radial", "required for conversions")
     if chi is None:
         raise ManifestError("chi", "required for conversions")
-    try:
-        sid = StrataIndexData(m, n, t, ambient, tuple(radial), tuple(chi))
-    except ValueError as exc:
-        raise ManifestError("type", str(exc)) from None
+    sid = StrataIndexData(m, n, t, ambient, tuple(radial), tuple(chi))
     chibar = [chi[i] - 1 for i in range(t)]
     phn_per = [
         phn_from_radial(radial[:j], chibar[:j], m, n, j, ambient) for j in range(1, t + 1)
@@ -369,8 +374,6 @@ def _cmd_convert(data: ManifestData, args):
                 chi_sing = None
                 code = 2
         if chi_sing is not None:
-            if not isinstance(chi_sing, int) or isinstance(chi_sing, bool):
-                raise ManifestError("chi_sing", "must be an integer")
             iso = {
                 str(k): isolated_indices(m, n, t, ambient, radial[-1], chibar[-1], chi_sing, k)
                 for k in (1, 2, 3)

@@ -29,7 +29,9 @@ degree zero, two equal consecutive values dim at caps D-1 and D certify
 that the quotient is finite-dimensional and that the shared value is the
 exact colength, so stabilization is a proof, not a heuristic.  The
 driver doubles the cap each round, one elimination per round, and runs
-its last round at the ceiling itself.
+its last round at the ceiling itself.  Its report lists the whole
+Hilbert-Samuel function H(1..D) of that last round's cap D; past a
+stabilized D, H stays at the reported value.
 
 An ideal is the rank-1 case: its generators and a module's go through
 one row builder.  The linear algebra runs on integer rows (denominators
@@ -57,10 +59,11 @@ ORACLE_CEILING = 64
 
 @dataclass(frozen=True)
 class TruncationReport:
-    """Outcome of truncated quotient-dimension runs up to a degree cap."""
+    """Outcome of the doubling schedule: the cap of its last elimination,
+    and that elimination's dim O/(I + m^d) for every d up to the cap."""
 
     degree_cap: int
-    per_degree: Tuple[Tuple[int, int], ...]  # (cap, dimension) pairs
+    per_degree: Tuple[Tuple[int, int], ...]  # (d, H(d)) for d = 1..degree_cap
     stabilized: bool
     value: int
 
@@ -173,39 +176,15 @@ def _module_gen_terms(rank: int, gens: Sequence[FreeModuleElement]):
     return _gen_terms(gen.components for gen in gens)
 
 
-def _report(rank: int, gen_terms, nvars: int, degree_cap: int) -> TruncationReport:
-    if degree_cap < 1:
-        raise ValueError("degree cap must be at least 1")
-    dims = _hilbert_samuel(rank, gen_terms, nvars, degree_cap)
-    value = dims[degree_cap]
-    stabilized = degree_cap >= 2 and dims[degree_cap - 1] == value
-    return TruncationReport(degree_cap, tuple(enumerate(dims))[1:], stabilized, value)
-
-
-def truncated_colength_oracle(ideal: Ideal, degree_cap: int) -> TruncationReport:
-    """Exact dim O/(I + m^d) for every cap d up to degree_cap."""
-    return _report(1, _gen_terms((g,) for g in ideal.generators), ideal.ring.nvars, degree_cap)
-
-
-def truncated_module_colength(
-    rank: int, gens: Sequence[FreeModuleElement], degree_cap: int
-) -> TruncationReport:
-    return _report(rank, _module_gen_terms(rank, gens), gens[0].ring.nvars, degree_cap)
-
-
 def _stabilize(rank: int, gen_terms, nvars: int, ceiling: int) -> TruncationReport:
     if ceiling < 2:
         raise ValueError("ceiling must be at least 2: stabilization compares two caps")
     cap = min(ORACLE_START_CAP, ceiling)
-    per_degree: List[Tuple[int, int]] = []
     while True:
         dims = _hilbert_samuel(rank, gen_terms, nvars, cap)
-        seen = per_degree[-1][0] if per_degree else 0
-        per_degree.extend((c, dims[c]) for c in (cap - 1, cap) if c > seen)
-        if dims[cap - 1] == dims[cap]:
-            return TruncationReport(cap, tuple(per_degree), True, dims[cap])
-        if cap == ceiling:
-            return TruncationReport(cap, tuple(per_degree), False, dims[cap])
+        stabilized = dims[cap - 1] == dims[cap]
+        if stabilized or cap == ceiling:
+            return TruncationReport(cap, tuple(enumerate(dims))[1:], stabilized, dims[cap])
         cap = min(2 * cap, ceiling)
 
 

@@ -96,6 +96,15 @@ def truncated_dims(rank, nvars, cap, gens):
     return tuple(out)
 
 
+def oracle_dims(report, cap):
+    """(d, H(d)) for d = 1..cap from an oracle report run with a ceiling of
+    at least cap: its per_degree, extended by its value past a stabilized
+    degree_cap, where H stays (Nakayama)."""
+    assert report.stabilized or report.degree_cap >= cap
+    tail = range(report.degree_cap + 1, cap + 1) if report.stabilized else ()
+    return (report.per_degree + tuple((d, report.value) for d in tail))[:cap]
+
+
 @contextlib.contextmanager
 def time_limit(seconds):
     """Raise TimeoutError in the block once it has run for seconds, so a

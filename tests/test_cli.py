@@ -412,6 +412,28 @@ def test_each_validation_error_names_its_field(tmp_path, capsys, argv, doc, fiel
     assert err.count("\n") == 1
 
 
+def _with_field(path, field, value):
+    with open(path, encoding="utf-8") as fh:
+        doc = json.load(fh)
+    doc[field] = [value] if field in ("type", "radial", "chi") else value
+    return doc
+
+
+@pytest.mark.parametrize("command, base", [("check", SURFACE),
+                                           ("convert", os.path.join(MANIFEST_DIR, "convert-generic-232.json"))],
+                         ids=["check", "convert"])
+@pytest.mark.parametrize("field", ["type", "N", "radial", "chi", "chi_sing"])
+@pytest.mark.parametrize("value", [1.5, float("nan")], ids=["float", "nan"])
+def test_pass_through_field_of_the_wrong_type_names_the_field(tmp_path, capsys, command, base, field, value):
+    # these fields are copied into every report, so a float (or JSON NaN)
+    # in one must stop every command with a message, not at the report
+    code, out, err = run_cli(capsys, command, write_manifest(tmp_path, _with_field(base, field, value)))
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: manifest field '%s': must be " % field)
+    assert err.count("\n") == 1
+
+
 @pytest.mark.parametrize("field, entries, message", [
     ("matrix", [["x", 3]], "manifest field 'matrix': entry [0][1] must be a string"),
     ("matrix", [["x", "y"], ["y", "x + q"]], "manifest field 'matrix': entry [1][1]: "),

@@ -1,5 +1,6 @@
 import math
 import random
+import re
 
 import pytest
 
@@ -252,3 +253,18 @@ def test_strata_index_data_validation():
         StrataIndexData(2, 3, 2, 4, (1,), (0, 0))
     with pytest.raises(ValueError):
         StrataIndexData(3, 2, 2, 4, (1, 1), (0, 0))
+
+
+@pytest.mark.parametrize("call, message", [
+    pytest.param(lambda: coeff_matrices(2, 3, 0), "t must be at least 1", id="coeff-t-zero"),
+    pytest.param(lambda: phn_from_radial([1], [0, 3], 2, 3, 2, 6), "radial and chibar vectors must have length t",
+                 id="phn-short-radial"),
+    pytest.param(lambda: phn_from_radial([1, 3], [0], 2, 3, 2, 6), "radial and chibar vectors must have length t",
+                 id="phn-short-chibar"),
+    pytest.param(lambda: radial_from_phn([1], 2, 3, 2, 6, 3), "phn vector must have length t", id="radial-short-phn"),
+    pytest.param(lambda: isolated_indices(2, 3, 2, 6, 1, 0, 1, 4), "resolution index must be 1, 2 or 3",
+                 id="isolated-k-four"),
+])
+def test_rejected_arguments_name_the_fault(call, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        call()

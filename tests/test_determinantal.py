@@ -1,4 +1,5 @@
 import random
+import re
 
 import pytest
 
@@ -239,3 +240,23 @@ def test_one_form_validation(ring_xy):
     assert [c.render() for c in form.coefficients] == ["2*x", "2*y"]
     dz = OneForm.coordinate(ring_xy, "y")
     assert [c.render() for c in dz.coefficients] == ["0", "1"]
+
+
+XY, XYZ = RingContext(("x", "y")), RingContext(("x", "y", "z"))
+X, Y = XY.variable(0), XY.variable(1)
+
+
+@pytest.mark.parametrize("call, message", [
+    pytest.param(lambda: OneForm([]), "a 1-form needs at least one coefficient", id="form-empty"),
+    pytest.param(lambda: OneForm([X, XYZ.variable(1)]), "mixed ring contexts in 1-form coefficients",
+                 id="form-mixed-rings"),
+    pytest.param(lambda: DetSingularity.create(XY, [], 1), "defining matrix must be nonempty", id="matrix-empty"),
+    pytest.param(lambda: DetSingularity.create(XY, [[X, Y], [X]], 1), "defining matrix must be rectangular",
+                 id="matrix-ragged"),
+    pytest.param(lambda: DetSingularity.create(XY, [[X, XYZ.variable(2)]], 1), "matrix entry from a different ring",
+                 id="entry-other-ring"),
+    pytest.param(lambda: DetSingularity.create(XY, [[X, Y]], 2), "need 1 <= t <= min(m, n)", id="t-too-large"),
+])
+def test_rejected_data_names_the_fault(call, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        call()

@@ -1,5 +1,6 @@
 import os
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -294,3 +295,32 @@ def test_icis_coincidence(equation, variables, direction):
     alg = icis_index([f], form)
     assert hom == alg
     assert hom != INFINITE
+
+
+XY, XYZ = RingContext(("x", "y")), RingContext(("x", "y", "z"))
+XYZU = RingContext(("x", "y", "z", "u"))
+SURFACE_232 = DetSingularity.create(
+    XYZU, [[parse_poly(e, XYZU) for e in row] for row in (("z", "y+u", "x"), ("u", "x", "y"))], 2)
+DZ = OneForm.coordinate(XYZ, "z")
+
+
+@pytest.mark.parametrize("call, message", [
+    pytest.param(lambda: icis_ideal([], DZ), "need at least one defining equation", id="icis-no-equation"),
+    pytest.param(lambda: icis_ideal([XY.variable(0)], DZ), "defining polynomial from a different ring",
+                 id="icis-other-ring"),
+    pytest.param(lambda: algebra_ideal(SURFACE_232, DZ), "form and singularity live in different rings",
+                 id="algebra-other-ring"),
+    pytest.param(lambda: omega_quotient_generators(SURFACE_232, DZ), "form and singularity live in different rings",
+                 id="omega-other-ring"),
+    pytest.param(lambda: DifferentialFormPresentation.build(XY, [], 3), "form degree out of range",
+                 id="degree-above"),
+    pytest.param(lambda: DifferentialFormPresentation.build(XY, [], -1), "form degree out of range",
+                 id="degree-below"),
+    pytest.param(lambda: DifferentialFormPresentation.build(XY, [XYZ.variable(0)], 1), "equation from a different ring",
+                 id="equation-other-ring"),
+    pytest.param(lambda: DifferentialFormPresentation.build(XY, [], 0).wedge_generators(OneForm.coordinate(XY, "x")),
+                 "cannot wedge into degree-0 forms", id="wedge-degree-zero"),
+])
+def test_rejected_inputs_name_the_fault(call, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        call()

@@ -16,11 +16,10 @@ from detindex import (
     colength,
     module_colength,
     stabilized_colength,
-    truncated_colength_oracle,
-    truncated_module_colength,
+    stabilized_module_colength,
 )
 
-from conftest import truncated_dims
+from conftest import oracle_dims, truncated_dims
 
 # derandomize: the same examples on every run, so tier-1 stays deterministic.
 PROPERTY = settings(derandomize=True, deadline=None, max_examples=60)
@@ -144,20 +143,23 @@ def truncated_inputs(draw, max_cap):
 
 
 def _oracle(rank, nvars, cap, gens):
+    """The oracle report on gens with ceiling cap (2 for cap 1, the least
+    ceiling there is)."""
     ring = RingContext(("x", "y", "z")[:nvars])
     components = [
         [Poly(ring, {m: Fraction(c) for (k, m), c in gen.items() if k == comp}) for comp in range(rank)]
         for gen in gens
     ]
+    ceiling = max(cap, 2)
     if rank == 1:
-        return truncated_colength_oracle(Ideal([poly for poly, in components]), cap)
-    return truncated_module_colength(rank, [FreeModuleElement(rank, comps) for comps in components], cap)
+        return stabilized_colength(Ideal([poly for poly, in components]), ceiling)
+    return stabilized_module_colength(rank, [FreeModuleElement(rank, comps) for comps in components], ceiling)
 
 
 @settings(derandomize=True, deadline=None, max_examples=150)
 @given(truncated_inputs(max_cap=4))
 def test_oracle_matches_a_fraction_elimination_at_every_cap(inputs):
-    assert _oracle(*inputs).per_degree == truncated_dims(*inputs)
+    assert oracle_dims(_oracle(*inputs), inputs[2]) == truncated_dims(*inputs)
 
 
 @PROPERTY

@@ -1,4 +1,5 @@
 import random
+import re
 
 import pytest
 
@@ -232,3 +233,31 @@ def test_variable_names_validated():
         RingContext(("2bad",))
     with pytest.raises(ValueError):
         RingContext(())
+
+
+XY = RingContext(("x", "y"))
+
+
+@pytest.mark.parametrize("call, error, message", [
+    pytest.param(lambda: XY.variable(5), IndexError, "variable index out of range", id="variable-index"),
+    pytest.param(lambda: XY.zero_poly().leading_monomial(), ValueError,
+                 "zero polynomial has no leading monomial", id="zero-leading-monomial"),
+    pytest.param(lambda: XY.variable(0) ** -1, ValueError, "exponent must be a nonnegative integer",
+                 id="negative-power"),
+    pytest.param(lambda: P("(x", XY), PolyParseError, "expected ')' (at position 2)", id="unclosed"),
+    pytest.param(lambda: P("x^y", XY), PolyParseError, "exponent must be a nonnegative integer (at position 2)",
+                 id="variable-exponent"),
+    pytest.param(lambda: P("1/x", XY), PolyParseError, "expected integer denominator (at position 2)",
+                 id="variable-denominator"),
+    pytest.param(lambda: P("1/0", XY), PolyParseError, "zero denominator (at position 2)", id="zero-denominator"),
+])
+def test_rejected_calls_name_the_fault(call, error, message):
+    with pytest.raises(error, match=re.escape(message)):
+        call()
+
+
+def test_zero_polynomial_accessors_and_repr(ring_xy):
+    zero = ring_xy.zero_poly()
+    assert zero.leading() is None
+    assert zero.ecart() == 0
+    assert repr(P("x - 2*y", ring_xy)) == "Poly(x - 2*y)"

@@ -1,6 +1,7 @@
 import heapq
 import math
 import random
+import re
 from fractions import Fraction
 from itertools import combinations_with_replacement, product
 
@@ -24,8 +25,8 @@ from detindex import (
     normal_form,
     omega_quotient_generators,
     parse_poly,
+    stabilized_colength,
     standard_basis,
-    truncated_colength_oracle,
 )
 
 from detindex import standard_bases
@@ -147,7 +148,8 @@ def test_surface_ideal_has_infinite_colength(ring_xyzu):
     surf = ideal(ring_xyzu, "z*x - u*(y+u)", "z*y - u*x", "(y+u)*y - x^2")
     assert colength(surf) == INFINITE
     # the truncated quotient keeps growing: monomials survive in every degree
-    report = truncated_colength_oracle(surf, 6)
+    report = stabilized_colength(surf, ceiling=6)
+    assert [d for d, _ in report.per_degree] == list(range(1, 7))
     dims = [dim for _, dim in report.per_degree]
     assert all(b > a for a, b in zip(dims, dims[1:]))
     assert not report.stabilized
@@ -166,7 +168,7 @@ def test_colength_staircase_box(ring_xy):
 def test_colength_collapses_to_quadric(ring_xyz):
     I = ideal(ring_xyz, "x^2 + y^2 + z^2", "x", "y")
     assert colength(I) == 2
-    report = truncated_colength_oracle(I, 5)
+    report = stabilized_colength(I, ceiling=5)
     assert report.stabilized and report.value == 2
 
 
@@ -222,7 +224,7 @@ def test_colength_matches_oracle_on_corpus():
     for vars_, gens in ZERO_DIM_CORPUS:
         ring = RingContext(vars_)
         I = Ideal([P(s, ring) for s in gens])
-        report = truncated_colength_oracle(I, 10)
+        report = stabilized_colength(I, ceiling=10)
         assert report.stabilized
         assert colength(I) == report.value
 
@@ -999,3 +1001,26 @@ def test_colengths_make_no_rationals(monkeypatch):
 def test_colength_is_the_staircase_count_of_the_basis():
     for I in _random_ideals():
         assert colength(I) == standard_basis(I).colength()
+
+
+XY, XYZ = RingContext(("x", "y")), RingContext(("x", "y", "z"))
+
+
+@pytest.mark.parametrize("call, message", [
+    pytest.param(lambda: FreeModuleElement(0, []), "rank must be positive", id="rank-zero"),
+    pytest.param(lambda: FreeModuleElement(2, [XY.variable(0)]), "component count does not match rank",
+                 id="component-count"),
+    pytest.param(lambda: FreeModuleElement(2, [XY.variable(0), XYZ.variable(2)]),
+                 "mixed ring contexts in module element", id="mixed-rings"),
+])
+def test_module_element_rejects(call, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        call()
+
+
+def test_infinite_repr_and_membership(ring_xy):
+    assert repr(INFINITE) == "INFINITE"
+    basis = standard_basis(ideal(ring_xy, "x^2", "y^3"))
+    assert basis.contains(P("x^5 + x*y^3", ring_xy))
+    assert basis.contains(P("x^2 - x^3", ring_xy))  # x^2 times the unit 1 - x
+    assert not basis.contains(P("x*y^2", ring_xy))

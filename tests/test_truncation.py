@@ -15,15 +15,41 @@ from detindex import (
     standard_basis,
     stabilized_colength,
     stabilized_module_colength,
-    truncated_colength_oracle,
-    truncated_module_colength,
 )
+from detindex import truncation
 
-from conftest import chi_bar_sum, truncated_dims
+from conftest import chi_bar_sum, oracle_dims, random_poly, rng_for, truncated_dims
 
 
 def P(src, ring):
     return parse_poly(src, ring)
+
+
+def kernel_dims(rank, gens, nvars, cap):
+    """(d, H(d)) for d = 1..cap from one elimination at cap, with no driver."""
+    dims = truncation._hilbert_samuel(rank, truncation._gen_terms(gens), nvars, cap)
+    return tuple(enumerate(dims))[1:]
+
+
+def ideal_dims(ideal, cap):
+    return kernel_dims(1, ((g,) for g in ideal.generators), ideal.ring.nvars, cap)
+
+
+def module_dims(rank, gens, cap):
+    return kernel_dims(rank, (gen.components for gen in gens), gens[0].ring.nvars, cap)
+
+
+def record_caps(monkeypatch):
+    """The caps the driver runs its eliminations at, in order."""
+    caps = []
+    kernel = truncation._hilbert_samuel
+
+    def recording(rank, gen_terms, nvars, cap):
+        caps.append(cap)
+        return kernel(rank, gen_terms, nvars, cap)
+
+    monkeypatch.setattr(truncation, "_hilbert_samuel", recording)
+    return caps
 
 
 def test_chi_bar_sum_examples():
@@ -39,22 +65,24 @@ def test_chi_bar_sum_precondition():
 
 
 def test_truncated_ideal_simple(ring_xy):
-    report = truncated_colength_oracle(Ideal([P("x", ring_xy), P("y", ring_xy)]), 3)
+    report = stabilized_colength(Ideal([P("x", ring_xy), P("y", ring_xy)]), ceiling=3)
     assert report.stabilized
     assert report.value == 1
+    assert report.per_degree == ((1, 1), (2, 1), (3, 1))
 
 
 def test_truncated_ideal_staircase(ring_xy):
     I = Ideal([P("x^2", ring_xy), P("y^3", ring_xy)])
-    report = truncated_colength_oracle(I, 8)
+    report = stabilized_colength(I, ceiling=8)
     assert report.stabilized
     assert report.value == 6
-    report = truncated_colength_oracle(I, 5)
+    report = stabilized_colength(I, ceiling=5)
     assert report.per_degree == ((1, 1), (2, 3), (3, 5), (4, 6), (5, 6))
 
 
 def test_per_degree_dimensions_monotone(ring_xy):
-    report = truncated_colength_oracle(Ideal([P("x^2 - y^3", ring_xy)]), 7)
+    report = stabilized_colength(Ideal([P("x^2 - y^3", ring_xy)]), ceiling=7)
+    assert [d for d, _ in report.per_degree] == list(range(1, 8))
     dims = [dim for _, dim in report.per_degree]
     assert all(b >= a for a, b in zip(dims, dims[1:]))
     assert not report.stabilized  # a plane curve: infinite colength
@@ -62,7 +90,7 @@ def test_per_degree_dimensions_monotone(ring_xy):
 
 def test_stabilized_flag_requires_two_equal_caps(ring_xy):
     I = Ideal([P("x", ring_xy), P("y^2", ring_xy)])
-    report = truncated_colength_oracle(I, 4)
+    report = stabilized_colength(I, ceiling=4)
     assert report.stabilized
     assert report.per_degree[-1][1] == report.per_degree[-2][1] == 2
 
@@ -96,7 +124,7 @@ def test_truncated_module_matches_engine(ring_xy):
         FreeModuleElement(2, [zero, y]),
         FreeModuleElement(2, [y * y, x]),
     ]
-    report = truncated_module_colength(2, gens, 6)
+    report = stabilized_module_colength(2, gens, ceiling=6)
     assert report.stabilized
     from detindex import module_colength
 
@@ -111,7 +139,7 @@ def test_module_rank_counts_components(ring_xy):
         FreeModuleElement(2, [ring_xy.zero_poly(), x]),
         FreeModuleElement(2, [ring_xy.zero_poly(), y]),
     ]
-    report = truncated_module_colength(2, gens, 4)
+    report = stabilized_module_colength(2, gens, ceiling=4)
     assert report.stabilized
     assert report.value == 2  # one copy of the residue field per component
 
@@ -129,21 +157,22 @@ def test_oracle_matches_engine_on_mixed_corpus(ring_xy, ring_xyz):
         assert colength(ideal) == report.value
 
 
-def test_degree_cap_validation(ring_xy):
-    with pytest.raises(ValueError):
-        truncated_colength_oracle(Ideal([P("x", ring_xy)]), 0)
-
-
-def test_ceiling_below_start_cap_is_evaluated(ring_xy):
+def test_ceiling_below_start_cap_is_evaluated(ring_xy, monkeypatch):
+    caps = record_caps(monkeypatch)
     I = Ideal([P("x", ring_xy), P("y", ring_xy)])
     report = stabilized_colength(I, ceiling=2)
+    assert caps == [2]
     assert report.per_degree == ((1, 1), (2, 1))
     assert report.stabilized and report.value == 1 and report.degree_cap == 2
     J = Ideal([P("x", ring_xy), P("y^2", ring_xy)])
+    caps.clear()
     report = stabilized_colength(J, ceiling=3)
-    assert report.per_degree == ((2, 2), (3, 2))
+    assert caps == [3]
+    assert report.per_degree == ((1, 1), (2, 2), (3, 2))
     assert report.stabilized and report.value == 2
+    caps.clear()
     report = stabilized_colength(J, ceiling=2)
+    assert caps == [2]
     assert report.per_degree == ((1, 1), (2, 2))
     assert not report.stabilized and report.degree_cap == 2
 
@@ -155,44 +184,79 @@ def test_ceiling_below_two_is_rejected(ring_xy):
             stabilized_colength(I, ceiling=ceiling)
 
 
-def test_ceiling_off_the_doubling_schedule_is_tried(ring_xy):
-    I = Ideal([P("x^9", ring_xy), P("y", ring_xy)])
-    report = stabilized_colength(I, ceiling=10)
-    assert report.per_degree == ((3, 3), (4, 4), (7, 7), (8, 8), (9, 9), (10, 9))
-    assert report.stabilized and report.value == 9 and report.degree_cap == 10
-    report = stabilized_colength(I, ceiling=12)
-    assert [cap for cap, _ in report.per_degree] == [3, 4, 7, 8, 11, 12]
-    assert report.stabilized and report.value == 9 and report.degree_cap == 12
-    report = stabilized_colength(I, ceiling=9)
-    assert report.per_degree == ((3, 3), (4, 4), (7, 7), (8, 8), (9, 9))
-    assert not report.stabilized and report.degree_cap == 9
-
-
-def test_ceilings_on_the_doubling_schedule_keep_it(ring_xy):
-    I = Ideal([P("x*y", ring_xy)])
-    for ceiling, caps in ((8, [3, 4, 7, 8]), (64, [3, 4, 7, 8, 15, 16, 31, 32, 63, 64])):
+def test_ceiling_off_the_doubling_schedule_is_tried(ring_xy, monkeypatch):
+    caps = record_caps(monkeypatch)
+    I = Ideal([P("x^9", ring_xy), P("y", ring_xy)])  # H(d) = min(d, 9)
+    for ceiling, schedule, stabilized in ((10, [4, 8, 10], True), (12, [4, 8, 12], True), (9, [4, 8, 9], False)):
+        caps.clear()
         report = stabilized_colength(I, ceiling=ceiling)
-        assert [cap for cap, _ in report.per_degree] == caps
-        assert report.per_degree[-1] == (ceiling, 2 * ceiling - 1)
+        assert caps == schedule
+        assert report.per_degree == tuple((d, min(d, 9)) for d in range(1, ceiling + 1))
+        assert report.stabilized is stabilized and report.degree_cap == ceiling
+        assert report.value == 9
+
+
+def test_ceilings_on_the_doubling_schedule_keep_it(ring_xy, monkeypatch):
+    caps = record_caps(monkeypatch)
+    I = Ideal([P("x*y", ring_xy)])  # H(d) = 2d - 1
+    for ceiling, schedule in ((8, [4, 8]), (64, [4, 8, 16, 32, 64])):
+        caps.clear()
+        report = stabilized_colength(I, ceiling=ceiling)
+        assert caps == schedule
+        assert report.per_degree == tuple((d, 2 * d - 1) for d in range(1, ceiling + 1))
         assert not report.stabilized and report.degree_cap == ceiling
+
+
+def test_report_is_the_hilbert_samuel_function_of_its_last_cap():
+    # per_degree is H(1..degree_cap) of the last elimination, and H stays at
+    # the value past a stabilized degree_cap: so a report at ceiling D gives
+    # H(1..D), whether it stopped early or not
+    rng = rng_for("hilbert-samuel")
+    stopped_early = gave_up = 0
+    for cap in (2, 3, 5, 8, 11):
+        for trial in range(16):
+            ring = RingContext(("x", "y", "z")[: 2 + trial % 2])
+            rank = 1 + trial // 8
+            gens = []
+            for _ in range(rng.randint(1, 3)):
+                gens.append([random_poly(ring, rng, max_terms=3, allow_constant=False) for _ in range(rank)])
+            if rng.random() < 0.6:  # pure powers make the colength finite
+                k = rng.randint(2, 4)
+                gens += [[ring.variable(i) ** k if c == comp else ring.zero_poly() for c in range(rank)]
+                         for i in range(ring.nvars) for comp in range(rank)]
+            gens = [g for g in gens if any(g)]
+            if not gens:
+                continue
+            if rank == 1:
+                report = stabilized_colength(Ideal([g for g, in gens]), ceiling=cap)
+            else:
+                report = stabilized_module_colength(rank, [FreeModuleElement(rank, g) for g in gens], ceiling=cap)
+            assert report.per_degree == kernel_dims(rank, gens, ring.nvars, report.degree_cap)
+            assert oracle_dims(report, cap) == kernel_dims(rank, gens, ring.nvars, cap)
+            stopped_early += report.stabilized and report.degree_cap < cap
+            gave_up += not report.stabilized
+    assert stopped_early >= 10 and gave_up >= 10
 
 
 def test_module_oracle_checks_rank(ring_xy):
     x, y = ring_xy.variable("x"), ring_xy.variable("y")
     gens = [FreeModuleElement(2, [x, y])]
-    for oracle in (stabilized_module_colength, lambda r, g: truncated_module_colength(r, g, 4)):
-        for rank in (1, 3):
-            with pytest.raises(ValueError, match="module generators of mixed rank"):
-                oracle(rank, gens)
-        with pytest.raises(ValueError, match="rank must be positive"):
-            oracle(0, gens)
+    for rank in (1, 3):
+        with pytest.raises(ValueError, match="module generators of mixed rank"):
+            stabilized_module_colength(rank, gens)
+    with pytest.raises(ValueError, match="rank must be positive"):
+        stabilized_module_colength(0, gens)
+
+
+def test_module_oracle_needs_a_generator():
+    with pytest.raises(ValueError, match="need at least one module generator"):
+        stabilized_module_colength(1, [])
 
 
 def test_module_oracle_checks_rings(ring_xy, ring_xyz):
     gens = [FreeModuleElement(1, [P("x", ring_xy)]), FreeModuleElement(1, [P("z", ring_xyz)])]
-    for oracle in (stabilized_module_colength, lambda r, g: truncated_module_colength(r, g, 4)):
-        with pytest.raises(ValueError, match="mixed ring contexts"):
-            oracle(1, gens)
+    with pytest.raises(ValueError, match="mixed ring contexts"):
+        stabilized_module_colength(1, gens)
 
 
 def _staircase_per_degree(ideal, cap):
@@ -216,17 +280,17 @@ def test_oracle_matches_engine_degree_by_degree(ring_xy, ring_xyz, ring_xyzu):
         (Ideal([P("(x + 2*y - 3*z)^3", ring_xyz)] + [P(v + "^3", ring_xyz) for v in "xyz"]), 8),
     ]
     for ideal, cap in corpus:
-        report = truncated_colength_oracle(ideal, cap)
-        assert report.per_degree == _staircase_per_degree(ideal, cap)
+        report = stabilized_colength(ideal, ceiling=cap)
+        assert oracle_dims(report, cap) == _staircase_per_degree(ideal, cap)
 
 
 def test_denominators_do_not_change_per_degree(ring_xy):
     # 6 * (x/2 + y/3) = 3x + 2y: dropping the denominators would give m
     rational = Ideal([P("1/2*x + 1/3*y", ring_xy), P("3*x + 2*y", ring_xy), P("y^2", ring_xy)])
     integer = Ideal([P("3*x + 2*y", ring_xy), P("3*x + 2*y", ring_xy), P("7*y^2", ring_xy)])
-    report = truncated_colength_oracle(rational, 6)
-    assert report == truncated_colength_oracle(integer, 6)
-    assert report.per_degree[-1] == (6, 2)
+    dims = ideal_dims(rational, 6)
+    assert dims == ideal_dims(integer, 6)
+    assert dims[-1] == (6, 2)
     gens = [
         FreeModuleElement(2, [P("1/2*x", ring_xy), P("-2/3*y", ring_xy)]),
         FreeModuleElement(2, [P("y", ring_xy), P("x", ring_xy)]),
@@ -235,14 +299,14 @@ def test_denominators_do_not_change_per_degree(ring_xy):
         FreeModuleElement(2, [P("3*x", ring_xy), P("-4*y", ring_xy)]),
         FreeModuleElement(2, [P("y", ring_xy), P("x", ring_xy)]),
     ]
-    assert truncated_module_colength(2, gens, 6) == truncated_module_colength(2, scaled, 6)
+    assert module_dims(2, gens, 6) == module_dims(2, scaled, 6)
 
 
 def test_generator_with_no_term_below_the_cap_gives_no_row(ring_xy):
-    with_high = truncated_colength_oracle(Ideal([P("x^5", ring_xy), P("y", ring_xy)]), 4)
-    assert with_high == truncated_colength_oracle(Ideal([P("y", ring_xy)]), 4)
+    with_high = stabilized_colength(Ideal([P("x^5", ring_xy), P("y", ring_xy)]), ceiling=4)
+    assert with_high == stabilized_colength(Ideal([P("y", ring_xy)]), ceiling=4)
     assert with_high.per_degree == ((1, 1), (2, 2), (3, 3), (4, 4))
-    alone = truncated_colength_oracle(Ideal([P("x^4 + x*y^3", ring_xy)]), 4)
+    alone = stabilized_colength(Ideal([P("x^4 + x*y^3", ring_xy)]), ceiling=4)
     assert alone.per_degree == ((1, 1), (2, 3), (3, 6), (4, 10))
 
 
@@ -250,12 +314,11 @@ def test_pivots_leading_with_a_coefficient_other_than_one(ring_xy):
     # leads 2x and 3y: reducing 3xy against the pivot 2xy + 3y^3 rescales the row
     ideal = Ideal([P("2*x + 3*y^2", ring_xy), P("3*y - 5*x^2", ring_xy)])
     gens = [{(0, (1, 0)): 2, (0, (0, 2)): 3}, {(0, (0, 1)): 3, (0, (2, 0)): -5}]
-    report = truncated_colength_oracle(ideal, 4)
-    assert report.per_degree == truncated_dims(1, 2, 4, gens) == ((1, 1), (2, 1), (3, 1), (4, 1))
+    assert ideal_dims(ideal, 4) == truncated_dims(1, 2, 4, gens) == ((1, 1), (2, 1), (3, 1), (4, 1))
+    report = stabilized_colength(ideal, ceiling=4)
     assert report.stabilized and report.value == colength(ideal) == 1
     # 4x + 6y^2 cancels against the pivot 2x + 3y^2 only at the lead ratio 2;
     # no row leads at y^2, so a wrong ratio would leave a new pivot there
     curve = Ideal([P("2*x + 3*y^2", ring_xy), P("4*x + 6*y^2", ring_xy)])
     gens = [{(0, (1, 0)): 2, (0, (0, 2)): 3}, {(0, (1, 0)): 4, (0, (0, 2)): 6}]
-    report = truncated_colength_oracle(curve, 4)
-    assert report.per_degree == truncated_dims(1, 2, 4, gens) == ((1, 1), (2, 2), (3, 3), (4, 4))
+    assert ideal_dims(curve, 4) == truncated_dims(1, 2, 4, gens) == ((1, 1), (2, 2), (3, 3), (4, 4))
