@@ -26,7 +26,7 @@ def P(src, ring):
 
 
 def kernel_dims(rank, gens, nvars, cap):
-    """(d, H(d)) for d = 1..cap from one elimination at cap, with no driver."""
+    """(d, H(d)) for d = 1..cap from one elimination at cap, outside the doubling schedule."""
     dims = truncation._hilbert_samuel(rank, truncation._gen_terms(gens), nvars, cap)
     return tuple(enumerate(dims))[1:]
 
@@ -40,7 +40,7 @@ def module_dims(rank, gens, cap):
 
 
 def record_caps(monkeypatch):
-    """The caps the driver runs its eliminations at, in order."""
+    """The caps the doubling schedule runs its eliminations at, in order."""
     caps = []
     kernel = truncation._hilbert_samuel
 
