@@ -93,23 +93,14 @@ def coeff_matrices(m: int, n: int, t: int) -> CoeffMatrices:
     """Conversion coefficients between radial and Nash-bundle indices."""
     if t < 1:
         raise ValueError("t must be at least 1")
-    eps_n = _sign(m + n)
-    eps_m = _sign(m + n + 1)
-    nmat = tuple(
-        tuple(
-            eps_n ** (j - i) * math.comb(m - i, m - j) if j >= i else 0
-            for j in range(1, t + 1)
+
+    def triangular(eps):
+        return tuple(
+            tuple(eps ** (j - i) * math.comb(m - i, m - j) if j >= i else 0 for j in range(1, t + 1))
+            for i in range(1, t + 1)
         )
-        for i in range(1, t + 1)
-    )
-    mmat = tuple(
-        tuple(
-            eps_m ** (j - i) * math.comb(m - i, m - j) if j >= i else 0
-            for j in range(1, t + 1)
-        )
-        for i in range(1, t + 1)
-    )
-    return CoeffMatrices(nmat, mmat)
+
+    return CoeffMatrices(triangular(_sign(m + n)), triangular(_sign(m + n + 1)))
 
 
 def _ph_sum(dims: Sequence[int], radial: Sequence[int], chi: Sequence[int], fibers: Sequence[int]) -> int:

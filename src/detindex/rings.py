@@ -231,8 +231,9 @@ class Poly:
         while e:
             if e & 1:
                 result = result * base
-            base = base * base
             e >>= 1
+            if e:
+                base = base * base
         return result
 
     def partial_derivative(self, index: int) -> "Poly":

@@ -103,6 +103,10 @@ the first with the last variable dropped (Bayer-Stillman's recursion on
 monomial ideals, pivoting on powers of the last variable).  The slices
 past the largest leading exponent never end, so the count is INFINITE
 when they are not empty.  A module sums its components.
+
+Membership is a lead question too, not a division: f lies in I exactly
+when I + (f) has the staircase of I (Greuel-Pfister, section 1.6), so
+StandardBasis.contains runs one completion and compares staircases.
 """
 
 from __future__ import annotations
@@ -200,6 +204,9 @@ class StandardBasis:
     the minimal generators of the leading ideal.  Elements are monic and
     listed from greatest to least leading monomial, so the output is
     canonical for a given generating set; their tails are not reduced.
+    Membership compares staircases: I + (f) contains I, so it equals I
+    exactly when the two have the same leading ideal, and so the same
+    minimal leads in the same canonical order.
     """
 
     ring: RingContext
@@ -207,11 +214,10 @@ class StandardBasis:
     elements: Tuple[Poly, ...]
     staircase: Tuple[Monomial, ...]
 
-    def normal_form(self, f: Poly) -> Poly:
-        return normal_form(f, self.elements)
-
     def contains(self, f: Poly) -> bool:
-        return not self.normal_form(f)
+        # the zero first pins the ring: Ideal drops it but rejects an f of another ring
+        bigger = Ideal((self.ring.zero_poly(), *self.elements, f))
+        return standard_basis(bigger).staircase == self.staircase
 
     def colength(self):
         return _staircase_count(self.staircase)
@@ -635,7 +641,6 @@ def _staircase_count(leads: Sequence[Monomial]):
         if count is INFINITE or cut is None:
             return INFINITE
         total += (cut - start) * count
-    return total
 
 
 def _lead_count(keys: _Keys, basis: Sequence[_Vec], rank: int):

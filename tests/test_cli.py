@@ -1,9 +1,10 @@
 import json
 import os
+from fractions import Fraction
 
 import pytest
 
-from detindex.cli import _COMMANDS, build_parser, main, run
+from detindex.cli import _COMMANDS, _jsonable, build_parser, main, run
 
 from conftest import time_limit
 
@@ -558,3 +559,13 @@ def test_report_round_trip_is_byte_stable(tmp_path, capsys, monkeypatch, argv):
     code2, _, _ = run_cli(capsys, command, str(out1), *options, "--output", str(out2))
     assert code2 == code1
     assert out2.read_bytes() == out1.read_bytes()
+
+
+@pytest.mark.parametrize("value", [
+    Fraction(1, 2),
+    {"index": 1.5},
+    [1, {"chi": (2, {3})}],
+], ids=["fraction", "float-in-dict", "set-nested"])
+def test_a_value_with_no_report_form_is_a_type_error(value):
+    with pytest.raises(TypeError, match="is not representable in a report"):
+        _jsonable(value)

@@ -5,6 +5,7 @@ import re
 import pytest
 
 from detindex import (
+    CoeffMatrices,
     StrataIndexData,
     chi_bar_hyperplane,
     chi_fiber,
@@ -84,6 +85,15 @@ def test_coeff_matrices_inverse_identity_range():
                     for j in range(t):
                         s = sum(mats.nmat[i][k] * mats.mmat[k][j] for k in range(t))
                         assert s == (1 if i == j else 0)
+
+
+@pytest.mark.parametrize("nmat, mmat", [
+    (((1,),), ((2,),)),
+    (((1, -1), (0, 1)), ((1, -1), (0, 1))),  # the 2,3,2 nmat paired with itself, not with its inverse
+])
+def test_coeff_matrices_reject_a_pair_that_is_not_inverse(nmat, mmat):
+    with pytest.raises(AssertionError, match="not inverse to each other"):
+        CoeffMatrices(nmat, mmat)
 
 
 def test_coeff_matrix_entry_via_hyperplane_section():

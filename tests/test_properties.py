@@ -17,6 +17,7 @@ from detindex import (
     module_colength,
     stabilized_colength,
     stabilized_module_colength,
+    standard_basis,
 )
 
 from conftest import oracle_dims, truncated_dims
@@ -102,6 +103,41 @@ def units(draw, ring):
 def test_colength_does_not_change_under_unit_scaling(gens, data):
     scaled = [data.draw(units(g.ring)) * g for g in gens]
     assert colength(Ideal(scaled)) == colength(Ideal(gens))
+
+
+@st.composite
+def small_polys(draw, ring):
+    """Zero to three terms of degree 0-3 with small integer coefficients."""
+    terms = {}
+    for _ in range(draw(st.integers(0, 3))):
+        mono = [0] * ring.nvars
+        for _ in range(draw(st.integers(0, 3))):
+            mono[draw(st.integers(0, ring.nvars - 1))] += 1
+        terms[tuple(mono)] = Fraction(draw(st.integers(-3, 3).filter(bool)))
+    return Poly(ring, terms)
+
+
+def test_membership_agrees_with_the_oracle():
+    # f lies in I exactly when I + (f) has the colength of I; f is drawn
+    # from I half the time, and both answers must occur
+    seen = set()
+
+    @PROPERTY
+    @given(ideals(), st.data())
+    def check(gens, data):
+        ring = gens[0].ring
+        if data.draw(st.booleans()):
+            f = sum((data.draw(small_polys(ring)) * g for g in gens), ring.zero_poly())
+        else:
+            f = data.draw(small_polys(ring))
+        ideal = Ideal(gens)
+        member = standard_basis(ideal).contains(f)
+        bigger = stabilized_colength(Ideal([*gens, f]))
+        assert member == (bigger.value == stabilized_colength(ideal).value)
+        seen.add(member)
+
+    check()
+    assert seen == {True, False}
 
 
 @st.composite

@@ -4,6 +4,7 @@ import re
 import pytest
 
 from detindex import (
+    Poly,
     PolyParseError,
     RingContext,
     parse_poly,
@@ -135,6 +136,26 @@ def test_ring_axioms_randomized(ring_xyz):
         assert (f + g) + h == f + (g + h)
         assert (f * g) * h == f * (g * h)
         assert f * (g + h) == f * g + f * h
+
+
+def test_power_builds_no_product_past_the_result(monkeypatch, ring_xy):
+    multiply = Poly.__mul__
+    degrees = []
+
+    def recording(self, other):
+        out = multiply(self, other)
+        degrees.append(out.total_degree())
+        return out
+
+    p = P("x + y", ring_xy)
+    expected = [ring_xy.one_poly()]
+    for _ in range(9):
+        expected.append(expected[-1] * p)
+    monkeypatch.setattr(Poly, "__mul__", recording)
+    for e in range(10):
+        degrees.clear()
+        assert p ** e == expected[e]
+        assert all(d <= e * p.total_degree() for d in degrees), (e, degrees)
 
 
 def test_exactness_no_rounding(ring_xy):

@@ -127,7 +127,7 @@ def test_generators_reduce_to_zero(ring_xyz):
             continue
         sb = standard_basis(Ideal(gens))
         for g in gens:
-            assert sb.normal_form(g).is_zero()
+            assert normal_form(g, sb.elements).is_zero()
 
 
 def test_basis_pairwise_reduced(ring_xyz):
@@ -1024,3 +1024,40 @@ def test_infinite_repr_and_membership(ring_xy):
     assert basis.contains(P("x^5 + x*y^3", ring_xy))
     assert basis.contains(P("x^2 - x^3", ring_xy))  # x^2 times the unit 1 - x
     assert not basis.contains(P("x*y^2", ring_xy))
+
+
+def test_membership_answers_where_mora_division_ran_for_seconds():
+    threefold, form = _threefold_and_form()
+    algebra = algebra_ideal(threefold, form)
+    ring = algebra.ring
+    surface_ring = RingContext(("x", "y", "z", "u"))
+    surface = DetSingularity.create(
+        surface_ring, [[P(e, surface_ring) for e in row] for row in (("z", "y+u", "x"), ("u", "x", "y"))], 2)
+    surface_ideal = algebra_ideal(surface, OneForm.differential(P("x^2 + y^2 + z^2 + u^2 + x*y*z", surface_ring)))
+    g = surface_ideal.generators[0]
+    with time_limit(5):
+        basis = standard_basis(algebra)
+        # Mora's division of each of these against the basis ran past 2 s
+        assert all(basis.contains(algebra.generators[i]) for i in (18, 31, 37, 40))
+        assert basis.contains(P("z^4", ring)) and basis.contains(P("x*y", ring))
+        for src in ("z^2", "z^3", "1 + x"):
+            assert not basis.contains(P(src, ring))
+        # colength 12; normal_form(g*g + x^3) against this basis ran past 60 s
+        assert standard_basis(surface_ideal).contains(g * g + P("x^3", surface_ring))
+
+
+def test_membership_compares_staircases_not_colengths(ring_xy):
+    # (x^2) and (x^2, x) = (x) both have INFINITE colength in the ring x, y
+    basis = standard_basis(ideal(ring_xy, "x^2"))
+    assert not basis.contains(P("x", ring_xy))
+    assert not basis.contains(P("y", ring_xy))
+    assert basis.contains(P("x^2*y + x^3", ring_xy))
+    assert basis.contains(ring_xy.zero_poly())
+
+
+def test_membership_rejects_an_element_of_another_ring(ring_xy, ring_xyz):
+    zero_ideal = ideal(ring_xy, "0")
+    for basis in (standard_basis(ideal(ring_xy, "x")), standard_basis(zero_ideal)):
+        with pytest.raises(ValueError, match="mixed ring contexts in ideal generators"):
+            basis.contains(P("z", ring_xyz))
+    assert not standard_basis(zero_ideal).contains(P("x", ring_xy))
