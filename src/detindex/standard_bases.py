@@ -95,14 +95,30 @@ An ideal is the rank-1 case of a submodule of a free module O^r
 (Greuel-Pfister, section 2.3): it enters the one completion with one
 rank-1 vector per generator.
 
-Colength queries count the standard monomials (those no leading
-monomial divides) from the leads alone, by slices in the exponent of
-the last variable.  Between two consecutive leading exponents the
-slices are equal, each counted recursively from the leads at or below
-the first with the last variable dropped (Bayer-Stillman's recursion on
-monomial ideals, pivoting on powers of the last variable).  The slices
-past the largest leading exponent never end, so the count is INFINITE
-when they are not empty.  A module sums its components.
+One walk reads the standard monomials (those no leading monomial
+divides) from the leads alone, by slices in the exponent of the last
+variable, and gives two answers: their number and their top degree, the
+greatest degree among them (-1 when there is none).  Between two
+consecutive leading exponents start < cut the slices are equal, each
+walked recursively from the leads at or below start with the last
+variable dropped (Bayer-Stillman's recursion on monomial ideals,
+pivoting on powers of the last variable): the stretch adds
+(cut - start) times the slice's count and reaches the slice's top degree
+plus cut - 1.  The slices past the largest leading exponent never end,
+so both answers are INFINITE when they are not empty.  A module sums
+the counts of its components and takes the greatest top degree.
+
+The completion stops at the highest corner.  When every generator
+enters with t-exponent 0 (écart 0: it is homogeneous), every vector of
+the run is homogeneous and has t-exponent 0.  Once the leads of every
+component leave finitely many standard monomials, all of degree at most
+the top degree, every monomial of a greater degree lies in the leading
+module, so every pair of a greater degree reduces to zero term by term.
+Pairs pop by degree, so the loop ends at the first such pair: it skips
+only zero reductions, and the basis, hence the standard basis that
+setting t to 1 gives (Lazard), is what the full loop returns.  The walk
+runs at each new pair degree, and only if the basis has grown since the
+last walk.
 
 Membership is a lead question too, not a division: f lies in I exactly
 when I + (f) has the staircase of I (Greuel-Pfister, section 1.6), so
@@ -220,7 +236,7 @@ class StandardBasis:
         return standard_basis(bigger).staircase == self.staircase
 
     def colength(self):
-        return _staircase_count(self.staircase)
+        return _staircase_walk(self.staircase)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -518,9 +534,19 @@ def _buchberger(gens: Sequence[_Vec], rank: int, keys: _Keys) -> List[_Vec]:
             g = _vec_primitive(g)
             add(g, keys.ecart(g))
     done = set()
+    # the highest-corner stop (see module docstring), for homogeneous input only
+    homogeneous = all(e == 0 for e in exps)
+    degree_seen, walked_size, top = -1, 0, INFINITE
 
     while pairs:
         degree, lcm_ij, i, j = heapq.heappop(pairs)
+        if homogeneous and degree > degree_seen:
+            degree_seen = degree
+            if len(G) > walked_size:
+                walked_size = len(G)
+                top = _lead_walk([[leads[k] for k in ks] for ks in members])[1]
+        if top is not INFINITE and degree > top:
+            break  # every pair left reduces to zero
         done.add((i, j))
         if rank == 1 and min(exps[i], exps[j]) == 0 and lcm_ij == lead_keys[i] + lead_keys[j]:
             continue  # product criterion; sound for ideals only
@@ -623,36 +649,47 @@ def standard_basis(ideal: Ideal) -> StandardBasis:
     return StandardBasis(ring, LOCAL_ORDER, elements, staircase)
 
 
-def _staircase_count(leads: Sequence[Monomial]):
-    """Number of monomials that no lead divides, or INFINITE (see module
-    docstring).  A ring has at least one variable, so no leads leave
-    infinitely many."""
+def _staircase_walk(leads: Sequence[Monomial]):
+    """(number of monomials that no lead divides, greatest degree of such
+    a monomial or -1 when there is none), or (INFINITE, INFINITE) (see
+    module docstring).  A ring has at least one variable, so no leads
+    leave infinitely many."""
     if not leads:
-        return INFINITE
+        return INFINITE, INFINITE
     last = len(leads[0]) - 1
     if last == 0:
-        return min(m[0] for m in leads)
+        count = min(m[0] for m in leads)
+        return count, count - 1
     bounds = sorted({0, *(m[last] for m in leads)})
-    total = 0
+    total, top = 0, -1
     for start, cut in zip(bounds, bounds[1:] + [None]):
-        count = _staircase_count([m[:last] for m in leads if m[last] <= start])
+        count, slice_top = _staircase_walk([m[:last] for m in leads if m[last] <= start])
         if count == 0:
-            return total  # every later slice has more leads, so is empty too
+            return total, top  # every later slice has more leads, so is empty too
         if count is INFINITE or cut is None:
-            return INFINITE
+            return INFINITE, INFINITE
         total += (cut - start) * count
+        top = max(top, slice_top + cut - 1)
+
+
+def _lead_walk(per_component: Sequence[Sequence[Monomial]]):
+    """(colength, top degree) of a submodule from the leads of its
+    standard basis in each component: the sum of the components' counts
+    and the greatest of their top degrees, or (INFINITE, INFINITE)."""
+    walks = [_staircase_walk(leads) for leads in per_component]
+    if any(count is INFINITE for count, _ in walks):
+        return INFINITE, INFINITE
+    return sum(count for count, _ in walks), max(top for _, top in walks)
 
 
 def _lead_count(keys: _Keys, basis: Sequence[_Vec], rank: int):
     """Colength of a submodule of O^rank from its standard basis, written
-    in keys: the standard monomials of each component, summed, or
-    INFINITE."""
+    in keys, or INFINITE."""
     per_component: List[List[Monomial]] = [[] for _ in range(rank)]
     for v in basis:
         comp, mono = keys.unpack(v.lead()[0])
         per_component[comp].append(mono)
-    counts = [_staircase_count(leads) for leads in per_component]
-    return INFINITE if INFINITE in counts else sum(counts)
+    return _lead_walk(per_component)[0]
 
 
 def colength(ideal: Ideal):

@@ -38,6 +38,7 @@ from detindex.standard_bases import (
     _global_normal_form,
     _reducer_entry,
     _s_vector,
+    _staircase_walk,
     _vec_from_components,
     _vec_primitive,
 )
@@ -275,6 +276,18 @@ def _random_leads(rng, nvars):
     return leads
 
 
+def _brute_force_top(leads, nvars):
+    """Greatest degree of a monomial that no lead divides, -1 when there
+    is none, or INFINITE, by enumeration under the box of the least pure
+    powers as in _brute_force_count."""
+    if _brute_force_count(leads, nvars) is INFINITE:
+        return INFINITE
+    caps = [min(m[i] for m in leads if all(e == 0 for k, e in enumerate(m) if k != i))
+            for i in range(nvars)]
+    return max((sum(point) for point in product(*(range(c) for c in caps))
+                if not any(all(a <= b for a, b in zip(m, point)) for m in leads)), default=-1)
+
+
 def test_staircase_count_matches_brute_force():
     rng = random.Random(20260)
     cases = []
@@ -282,13 +295,18 @@ def test_staircase_count_matches_brute_force():
         cases.append((nvars, []))  # the zero ideal
         cases.append((nvars, [(0,) * nvars]))  # the unit ideal
         cases.extend((nvars, _random_leads(rng, nvars)) for _ in range(150))
-    values = set()
+    values, tops = set(), set()
     for nvars, leads in cases:
         ring = RingContext(tuple("abcd"[:nvars]))
         value = StandardBasis(ring, LOCAL_ORDER, (), tuple(leads)).colength()
         assert value == _brute_force_count(leads, nvars), (nvars, leads)
+        # the same walk gives the top degree of the staircase
+        top = _brute_force_top(leads, nvars)
+        assert _staircase_walk(leads) == (value, top), (nvars, leads)
         values.add(value)
+        tops.add(top)
     assert INFINITE in values and 0 in values and len(values) > 20
+    assert INFINITE in tops and -1 in tops and len(tops) > 10
 
 
 # -- modules -----------------------------------------------------------------------
@@ -723,6 +741,9 @@ def test_in_place_reducer_matches_step_by_step_reference(rank):
     assert len(ties) > 20
 
 
+XY, XYZ = RingContext(("x", "y")), RingContext(("x", "y", "z"))
+
+
 def _threefold_and_form():
     ring = RingContext(("x", "y", "z", "u", "v"))
     rows = [["x", "y", "z"], ["u", "v", "x+y^2"]]
@@ -761,16 +782,40 @@ def _coprime_leads_ideal():
 @pytest.mark.parametrize("make", [
     lambda: [_dense_ideal(4)],
     lambda: [_dense_ideal(5)],
+    lambda: [_dense_ideal(6)],
     lambda: [algebra_ideal(*_threefold_and_form())],
     _coprime_leads_ideal,
     _random_ideals,
-], ids=["dense-k4", "dense-k5", "threefold-algebra", "coprime-leads", "random"])
+], ids=["dense-k4", "dense-k5", "dense-k6", "threefold-algebra", "coprime-leads", "random"])
 def test_completion_matches_step_by_step_reference(monkeypatch, make):
     ideals = make()
     with time_limit(20):
         got = [standard_basis(I) for I in ideals]
     monkeypatch.setattr(standard_bases, "_buchberger", _reference_buchberger)
     assert [standard_basis(I) for I in ideals] == got
+
+
+def _finite_homogeneous_modules():
+    """Homogeneous rank-2 modules with a finite staircase in both
+    components: pure powers in each, plus dense generators mixing the
+    two, so that the completion stops at its highest corner."""
+    cases = [
+        (XY, ("x^3", "y^3"), ("x^2", "y^2"), [("x^2 + 2*x*y - 3*y^2", "5*x^2 - x*y + 4*y^2")]),
+        (XY, ("x^4", "y^4"), ("x^3", "y^3"),
+         [("(x + 2*y)^3", "(3*x - y)^3"), ("x^2*y - 2*x*y^2", "x^3 + y^3 - x*y^2")]),
+        (XY, ("x^5", "y^5"), ("x^4", "y^4"), [("(x + 2*y)^4", "(3*x - y)^4"), ("(2*x - 3*y)^4", "(x + y)^4")]),
+        (XYZ, ("x^3", "y^3", "z^3"), ("x^2", "y^2", "z^2"),
+         [("(x + 2*y - 3*z)^2", "(2*x - y + z)^2"), ("x*y - y*z", "x*z + 3*y^2")]),
+        (XYZ, ("x^4", "y^4", "z^4"), ("x^3", "y^3", "z^3"), [("(x + 2*y - 3*z)^3", "(2*x - y + z)^3")]),
+    ]
+    modules = []
+    for ring, first, second, mixed in cases:
+        zero = ring.zero_poly()
+        gens = [FreeModuleElement(2, [P(p, ring), zero]) for p in first]
+        gens += [FreeModuleElement(2, [zero, P(p, ring)]) for p in second]
+        gens += [FreeModuleElement(2, [P(a, ring), P(b, ring)]) for a, b in mixed]
+        modules.append((2, gens))
+    return modules
 
 
 def test_module_completion_matches_step_by_step_reference(monkeypatch):
@@ -780,7 +825,7 @@ def test_module_completion_matches_step_by_step_reference(monkeypatch):
     modules = [(rank, gens)] + [
         (2, [FreeModuleElement(2, [random_poly(ring, rng, allow_constant=False) for _ in range(2)])
              for _ in range(3)])
-        for _ in range(10)]
+        for _ in range(10)] + _finite_homogeneous_modules()
     with time_limit(20):
         got = [module_standard_basis(r, g) for r, g in modules]
     monkeypatch.setattr(standard_bases, "_buchberger", _reference_buchberger)
@@ -976,6 +1021,45 @@ def test_dense_k7_colength_within_time_bound():
         assert colength(_dense_ideal(7)) == 1451
 
 
+def _module_without_second_component_leads():
+    """The dense k = 4 ideal in the first component of O^2: homogeneous,
+    with a finite staircase there and no leads in the second."""
+    dense = _dense_ideal(4)
+    zero = dense.ring.zero_poly()
+    return [FreeModuleElement(2, [g, zero]) for g in dense.generators]
+
+
+@pytest.mark.parametrize("compute, value, reductions, nonzero", [
+    # homogeneous with finite staircases: pairs above the highest corner are skipped,
+    # and each of them reduced to zero (58/78/168 reductions without the stop)
+    pytest.param(lambda: colength(_dense_ideal(4)), 155, 22, 17, id="dense-k4"),
+    pytest.param(lambda: colength(_dense_ideal(5)), 381, 30, 23, id="dense-k5"),
+    pytest.param(lambda: colength(_dense_ideal(6)), 780, 84, 51, id="dense-k6"),
+    # the stop must not fire: inhomogeneous input, a homogeneous INFINITE staircase,
+    # and a component without leads
+    pytest.param(lambda: colength(algebra_ideal(*_threefold_and_form())), 8, 182, 27,
+                 id="threefold-algebra"),
+    pytest.param(lambda: colength(ideal(XY, "x^2", "x*y")), INFINITE, 1, 0, id="infinite-monomial"),
+    pytest.param(lambda: colength(ideal(XYZ, "x^2 + y*z", "x*y + z^2")), INFINITE, 2, 1,
+                 id="infinite-quadrics"),
+    pytest.param(lambda: module_colength(2, _module_without_second_component_leads()), INFINITE, 66, 17,
+                 id="module-empty-component"),
+])
+def test_highest_corner_stop_skips_only_zero_reductions(monkeypatch, compute, value, reductions, nonzero):
+    engine_normal_form = standard_bases._global_normal_form
+    remainders = []
+
+    def counted(*args):
+        out = engine_normal_form(*args)
+        remainders.append(bool(out))
+        return out
+
+    monkeypatch.setattr(standard_bases, "_global_normal_form", counted)
+    with time_limit(20):
+        assert compute() == value
+    assert (len(remainders), sum(remainders)) == (reductions, nonzero)
+
+
 def test_completion_returns_primitive_integer_vectors():
     # The engine stays in the integers up to its exit: the minimalized
     # basis holds ints, content 1, positive leading coefficient.
@@ -1001,9 +1085,6 @@ def test_colengths_make_no_rationals(monkeypatch):
 def test_colength_is_the_staircase_count_of_the_basis():
     for I in _random_ideals():
         assert colength(I) == standard_basis(I).colength()
-
-
-XY, XYZ = RingContext(("x", "y")), RingContext(("x", "y", "z"))
 
 
 @pytest.mark.parametrize("call, message", [
