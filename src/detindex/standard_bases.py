@@ -108,17 +108,19 @@ plus cut - 1.  The slices past the largest leading exponent never end,
 so both answers are INFINITE when they are not empty.  A module sums
 the counts of its components and takes the greatest top degree.
 
-The completion stops at the highest corner.  When every generator
-enters with t-exponent 0 (écart 0: it is homogeneous), every vector of
-the run is homogeneous and has t-exponent 0.  Once the leads of every
-component leave finitely many standard monomials, all of degree at most
-the top degree, every monomial of a greater degree lies in the leading
-module, so every pair of a greater degree reduces to zero term by term.
-Pairs pop by degree, so the loop ends at the first such pair: it skips
-only zero reductions, and the basis, hence the standard basis that
-setting t to 1 gives (Lazard), is what the full loop returns.  The walk
-runs at each new pair degree, and only if the basis has grown since the
-last walk.
+The completion stops at the highest corner.  When all the terms of each
+generator share one degree, every vector of the run is homogeneous and
+no term carries t.  Écart 0 does not say as much for a module: under
+position over term the lead sits in the earliest nonzero component, so
+(x^2, y) has écart 0 but is (x^2, t*y) homogenized.  Once the leads of
+every component leave finitely many standard monomials, all of degree
+at most the top degree, every monomial of a greater degree lies in the
+leading module, so every pair of a greater degree reduces to zero term
+by term.  Pairs pop by degree, so the loop ends at the first such pair:
+it skips only zero reductions, and the basis, hence the standard basis
+that setting t to 1 gives (Lazard), is what the full loop returns.  The
+walk runs at each new pair degree, and only if the basis has grown since
+the last walk.
 
 Membership is a lead question too, not a division: f lies in I exactly
 when I + (f) has the staircase of I (Greuel-Pfister, section 1.6), so
@@ -534,8 +536,9 @@ def _buchberger(gens: Sequence[_Vec], rank: int, keys: _Keys) -> List[_Vec]:
             g = _vec_primitive(g)
             add(g, keys.ecart(g))
     done = set()
-    # the highest-corner stop (see module docstring), for homogeneous input only
-    homogeneous = all(e == 0 for e in exps)
+    # the highest-corner stop (see module docstring), for input whose
+    # every generator has all its terms in one degree
+    homogeneous = all(len({keys.degree(k) for k in g.terms}) == 1 for g in G)
     degree_seen, walked_size, top = -1, 0, INFINITE
 
     while pairs:

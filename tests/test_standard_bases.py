@@ -782,11 +782,10 @@ def _coprime_leads_ideal():
 @pytest.mark.parametrize("make", [
     lambda: [_dense_ideal(4)],
     lambda: [_dense_ideal(5)],
-    lambda: [_dense_ideal(6)],
     lambda: [algebra_ideal(*_threefold_and_form())],
     _coprime_leads_ideal,
     _random_ideals,
-], ids=["dense-k4", "dense-k5", "dense-k6", "threefold-algebra", "coprime-leads", "random"])
+], ids=["dense-k4", "dense-k5", "threefold-algebra", "coprime-leads", "random"])
 def test_completion_matches_step_by_step_reference(monkeypatch, make):
     ideals = make()
     with time_limit(20):
@@ -825,11 +824,93 @@ def test_module_completion_matches_step_by_step_reference(monkeypatch):
     modules = [(rank, gens)] + [
         (2, [FreeModuleElement(2, [random_poly(ring, rng, allow_constant=False) for _ in range(2)])
              for _ in range(3)])
-        for _ in range(10)] + _finite_homogeneous_modules()
+        for _ in range(10)] + _finite_homogeneous_modules() + [(2, _mixed_degree_module())]
     with time_limit(20):
         got = [module_standard_basis(r, g) for r, g in modules]
     monkeypatch.setattr(standard_bases, "_buchberger", _reference_buchberger)
     assert [module_standard_basis(r, g) for r, g in modules] == got
+
+
+def _draw_form(draw, ring, degree):
+    """A form of the given degree in ring: one to four terms with small
+    integer coefficients."""
+    nvars = len(ring.variables)
+    monomials = st.lists(st.integers(0, nvars - 1), min_size=degree, max_size=degree).map(
+        lambda indices: tuple(indices.count(i) for i in range(nvars)))
+    terms = draw(st.dictionaries(monomials, st.integers(-4, 4).filter(bool), min_size=1, max_size=4))
+    return Poly(ring, {m: Fraction(c) for m, c in terms.items()})
+
+
+@st.composite
+def homogeneous_ideals(draw):
+    """Generators of a homogeneous ideal in 2-3 variables: one to three
+    forms of degree 1-3, then the pure powers x_i^k for one k in 2..4 by
+    a coin toss, so that finite and INFINITE colengths both occur."""
+    ring = (XY, XYZ)[draw(st.integers(0, 1))]
+    gens = [_draw_form(draw, ring, draw(st.integers(1, 3))) for _ in range(draw(st.integers(1, 3)))]
+    if draw(st.booleans()):
+        k = draw(st.integers(2, 4))
+        gens += [ring.variable(i) ** k for i in range(len(ring.variables))]
+    return gens
+
+
+def test_homogeneous_completion_stops_without_changing_the_basis(monkeypatch):
+    # The completion stops at the highest corner of a homogeneous ideal
+    # with a finite staircase; the step-by-step reference never stops.
+    seen = set()
+
+    @settings(derandomize=True, deadline=None, max_examples=50)
+    @given(homogeneous_ideals())
+    def check(gens):
+        I = Ideal(gens)
+        value = colength(I)
+        report = stabilized_colength(I, ceiling=16)
+        assert report.agrees_with(value) and report.stabilized == (value is not INFINITE)
+        staircase = standard_basis(I).staircase
+        with monkeypatch.context() as patched:
+            patched.setattr(standard_bases, "_buchberger", _reference_buchberger)
+            assert standard_basis(I).staircase == staircase
+        seen.add(value is INFINITE)
+
+    check()
+    assert seen == {True, False}
+
+
+@st.composite
+def mixed_degree_modules(draw):
+    """Generators of a rank-2 module in 2-3 variables: the pure powers
+    x_i^k in each component, one k in 2..3 per component, so both
+    staircases are finite, then one or two vectors whose components are
+    forms of two different degrees in 1..3, the lower one in either
+    component by a coin toss.  Those with the lower degree second have
+    écart 0 but are not homogeneous, which the highest-corner stop must
+    not mistake for homogeneous input."""
+    ring = (XY, XYZ)[draw(st.integers(0, 1))]
+    zero = ring.zero_poly()
+    gens = []
+    for comp in range(2):
+        k = draw(st.integers(2, 3))
+        for i in range(len(ring.variables)):
+            parts = [zero, zero]
+            parts[comp] = ring.variable(i) ** k
+            gens.append(FreeModuleElement(2, parts))
+    for _ in range(draw(st.integers(1, 2))):
+        low, high = sorted(draw(st.lists(st.integers(1, 3), min_size=2, max_size=2, unique=True)))
+        degrees = (high, low) if draw(st.booleans()) else (low, high)
+        gens.append(FreeModuleElement(2, [_draw_form(draw, ring, d) for d in degrees]))
+    return gens
+
+
+def test_mixed_degree_modules_complete_as_the_reference(monkeypatch):
+    @settings(derandomize=True, deadline=None, max_examples=40)
+    @given(mixed_degree_modules())
+    def check(gens):
+        got = module_standard_basis(2, gens)
+        with monkeypatch.context() as patched:
+            patched.setattr(standard_bases, "_buchberger", _reference_buchberger)
+            assert module_standard_basis(2, gens) == got
+
+    check()
 
 
 def test_reducer_table_holds_each_basis_element_once(monkeypatch):
@@ -1021,6 +1102,16 @@ def test_dense_k7_colength_within_time_bound():
         assert colength(_dense_ideal(7)) == 1451
 
 
+def _mixed_degree_module():
+    """(x^2, y), (xy, 0), (y^2, 0), (0, x), (0, y^3) in x, y: every
+    generator has écart 0, but (x^2, y) is (x^2, t*y) homogenized.  At the
+    first pair degree, 3, the leads leave staircases of top degree 1 and
+    2, yet S((x^2, y), (xy, 0)) = (0, y^2) is a new basis element: the
+    colength is 3 + 2 = 5, not 3 + 3."""
+    gens = [("x^2", "y"), ("x*y", "0"), ("y^2", "0"), ("0", "x"), ("0", "y^3")]
+    return [FreeModuleElement(2, [P(a, XY), P(b, XY)]) for a, b in gens]
+
+
 def _module_without_second_component_leads():
     """The dense k = 4 ideal in the first component of O^2: homogeneous,
     with a finite staircase there and no leads in the second."""
@@ -1036,7 +1127,7 @@ def _module_without_second_component_leads():
     pytest.param(lambda: colength(_dense_ideal(5)), 381, 30, 23, id="dense-k5"),
     pytest.param(lambda: colength(_dense_ideal(6)), 780, 84, 51, id="dense-k6"),
     # the stop must not fire: inhomogeneous input, a homogeneous INFINITE staircase,
-    # and a component without leads
+    # a component without leads, and a module of écart 0 that is not homogeneous
     pytest.param(lambda: colength(algebra_ideal(*_threefold_and_form())), 8, 182, 27,
                  id="threefold-algebra"),
     pytest.param(lambda: colength(ideal(XY, "x^2", "x*y")), INFINITE, 1, 0, id="infinite-monomial"),
@@ -1044,6 +1135,7 @@ def _module_without_second_component_leads():
                  id="infinite-quadrics"),
     pytest.param(lambda: module_colength(2, _module_without_second_component_leads()), INFINITE, 66, 17,
                  id="module-empty-component"),
+    pytest.param(lambda: module_colength(2, _mixed_degree_module()), 5, 5, 1, id="module-mixed-degrees"),
 ])
 def test_highest_corner_stop_skips_only_zero_reductions(monkeypatch, compute, value, reductions, nonzero):
     engine_normal_form = standard_bases._global_normal_form
