@@ -26,7 +26,6 @@ print("x > x^2:", sort_key((1, 0, 0, 0)) < sort_key((2, 0, 0, 0)))
 h = parse_poly("x + x^2 + y^3", ring)
 lead, _ = h.leading()
 print("leading monomial of x + x^2 + y^3 is x:", lead == (1, 0, 0, 0))
-print("its ecart (degree spread above the lead) is", h.ecart())
 
 # derivatives are formal and exact
 p = parse_poly("z*x - u*(y+u)", ring)

@@ -12,7 +12,6 @@ from detindex import (
     Ideal,
     RingContext,
     colength,
-    normal_form,
     parse_poly,
     standard_basis,
 )
@@ -23,14 +22,16 @@ P = lambda s: parse_poly(s, ring)
 sb = standard_basis(Ideal([P("x - x^2")]))
 print("standard basis of (x - x^2):", [e.render() for e in sb.elements])
 
-print("normal_form(x^2, {x}) =", normal_form(P("x^2"), [P("x")]).render())
-print("normal_form(y,   {x}) =", normal_form(P("y"), [P("x")]).render())
+x_ideal = standard_basis(Ideal([P("x")]))
+print("is x^2 in (x)?", x_ideal.contains(P("x^2")))
+print("is y   in (x)?", x_ideal.contains(P("y")))
 
 print("colength of (x^2, y^3):", colength(Ideal([P("x^2"), P("y^3")])), "(the 2x3 staircase box)")
 print("colength of the unit ideal (1 + x):", colength(Ideal([P("1 + x")])))
 print("colength of (x*y):", colength(Ideal([P("x*y")])), "(a curve: infinite)")
 
-# membership in the local ideal, certified by a zero remainder
+# membership in the local ideal: f lies in I exactly when I + (f) has the
+# staircase of I
 I = Ideal([P("x^3 + y^2"), P("y^3")])
 basis = standard_basis(I)
 print("staircase of (x^3 + y^2, y^3):", basis.staircase)

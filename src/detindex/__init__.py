@@ -23,7 +23,6 @@ from .standard_bases import (
     colength,
     module_colength,
     module_standard_basis,
-    normal_form,
     standard_basis,
 )
 from .determinantal import (
@@ -106,7 +105,6 @@ __all__ = [
     "module_colength",
     "module_standard_basis",
     "monomials_up_to",
-    "normal_form",
     "omega_quotient_dim",
     "omega_quotient_generators",
     "parse_poly",

@@ -15,7 +15,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import add, le, sub
+from operator import add
 from typing import Iterator, Tuple
 
 Monomial = Tuple[int, ...]
@@ -80,14 +80,6 @@ class RingContext:
 
 def mono_mul(a: Monomial, b: Monomial) -> Monomial:
     return tuple(map(add, a, b))
-
-
-def mono_div(a: Monomial, b: Monomial) -> Monomial:
-    return tuple(map(sub, a, b))
-
-
-def mono_divides(a: Monomial, b: Monomial) -> bool:
-    return all(map(le, a, b))
 
 
 def mono_lcm(a: Monomial, b: Monomial) -> Monomial:
@@ -186,12 +178,6 @@ class Poly:
         if lead is None:
             raise ValueError("zero polynomial has no leading monomial")
         return lead[0]
-
-    def ecart(self) -> int:
-        """Total degree spread above the leading monomial; >= 0, 0 for zero."""
-        if not self.terms:
-            return 0
-        return self.total_degree() - sum(self.leading()[0])
 
     # -- arithmetic ----------------------------------------------------------
 

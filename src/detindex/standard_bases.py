@@ -1,15 +1,5 @@
 """Standard bases and colengths in the local ring at the origin.
 
-Division (normal_form) is Mora's variant of polynomial division: the
-reducer with the least écart is preferred, and whenever the écart of the
-chosen reducer exceeds that of the partial remainder, the partial
-remainder itself is kept as a future reducer.  This multiplies the input
-by an (implicit) unit of the local ring but terminates on polynomial
-input, which plain division under an anti-graded order does not.  The
-reducers, T, are kept sorted by (écart, smaller lead first, position),
-each key made once when its element enters T, and a step uses the first
-whose lead divides the remainder's.
-
 Basis completion is Lazard's: generators are made homogeneous with one
 extra variable t, a plain Buchberger loop runs under the matched graded
 order, and setting t to 1 gives a standard basis for the local order.
@@ -42,9 +32,7 @@ reduction step takes, from the table of the remainder's lead component,
 the first entry whose lead divides the remainder's.
 Every remainder is a nonzero multiple of the one a step-by-step
 primitive reduction would hold, so both choose the same reducers and
-end in the same primitive vector.  A Mora step runs the kernel on a
-copy of the partial remainder, which T may keep, and makes the result
-primitive.
+end in the same primitive vector.
 
 Terms are keyed by one int each (Monagan-Pearce, J. Symb. Comput. 46,
 2011).  In a ring of n variables with fields of W bits, the term
@@ -66,12 +54,11 @@ below a's, and never borrows from the field above.  That holds, and no
 sum of two fields carries, while every exponent and degree stays below
 2^(W-1).  In the completion every exponent of a vector is at most its
 homogenized degree, and that is at most the degree of the pair it comes
-from, so one check per pair covers a run; a Mora step checks the degree
-of the multiple of the reducer it is about to subtract.  A failed check
-restarts the run at twice the width, from the least width (16 bits at
-the least) that holds the input's degrees.  Every choice the engine
-makes depends on key order alone, which the width does not change, so
-the rerun returns the same result.  Tuples are made only at the exits:
+from, so one check per pair covers a run.  A failed check restarts the
+run at twice the width, from the least width (16 bits at the least) that
+holds the input's degrees.  Every choice the engine makes depends on key
+order alone, which the width does not change, so the rerun returns the
+same result.  Tuples are made only at the exits:
 the lcm of a pair is taken field by field on the tuple leads and packed
 once, and results, staircases and colength counts read unpacked leads.
 Critical pairs wait in a heap keyed, when the pair is created, by
@@ -87,9 +74,8 @@ and every vector the engine makes is kept primitive: integer
 coefficients with content 1 and a positive leading coefficient.  That
 representative is unique, so the reduction steps are fraction-free.
 Rationals are made in one exit helper, _components, and only for a
-returned result: a basis vector is divided by its leading coefficient
-there, a normal_form remainder is not.  Colength queries read the
-leads alone and make no rational.
+returned result, and each is divided by its leading coefficient there.
+Colength queries read the leads alone and make no rational.
 
 An ideal is the rank-1 case of a submodule of a free module O^r
 (Greuel-Pfister, section 2.3): it enters the one completion with one
@@ -135,7 +121,7 @@ import heapq
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Callable, Iterable, List, Sequence, Tuple
+from typing import Iterable, List, Sequence, Tuple
 
 from .rings import (
     LOCAL_ORDER,
@@ -209,9 +195,6 @@ class FreeModuleElement:
     @property
     def ring(self) -> RingContext:
         return self.components[0].ring
-
-    def is_zero(self) -> bool:
-        return all(not c for c in self.components)
 
 
 @dataclass(frozen=True)
@@ -293,22 +276,6 @@ def _first_width(degree: int) -> int:
     return max(16, degree.bit_length() + 1)
 
 
-def _at_fitting_width(nvars: int, degree: int, run: Callable[[_Keys], object]):
-    """(keys, run(keys)), from the first width that holds `degree`, the
-    input's largest term degree, and at twice the width for as long as
-    run raises _Overflow."""
-    width = _first_width(degree)
-    while True:
-        keys = _Keys(nvars, width)
-        try:
-            return keys, run(keys)
-        except _Overflow:
-            # Every choice of the engine depends on key order alone, and
-            # the width does not change that order, so the rerun at twice
-            # the width makes the same choices and returns the same result.
-            width *= 2
-
-
 # ---------------------------------------------------------------------------
 # internal vector representation: dict[term key] -> int
 
@@ -342,9 +309,10 @@ def _vec_from_components(components: Sequence[Poly], keys: _Keys) -> _Vec:
     return _Vec(terms)
 
 
-def _components(vec: _Vec, rank: int, ring: RingContext, keys: _Keys, scale: int = 1) -> List[Poly]:
-    """The rank rational component polynomials of vec / scale: the one
-    place the engine makes rationals."""
+def _components(vec: _Vec, rank: int, ring: RingContext, keys: _Keys) -> List[Poly]:
+    """The rank rational component polynomials of vec divided by its lead
+    coefficient: the one place the engine makes rationals."""
+    scale = vec.lead()[1]
     buckets: List[dict] = [dict() for _ in range(rank)]
     for k, c in vec.terms.items():
         comp, m = keys.unpack(k)
@@ -403,44 +371,6 @@ def _s_vector(gi: _Vec, gj: _Vec, lcm_ij: int) -> dict:
     shift = lcm_ij - gi.lead()[0]
     h = {k + shift: v for k, v in gi.terms.items()}
     _reduce_at(h, lcm_ij, gj)
-    return h
-
-
-def _mora_normal_form(f: _Vec, reducers: Sequence[_Vec], keys: _Keys) -> _Vec:
-    """Weak normal form of rank-1 vectors: u*f = sum q_i g_i + r for a
-    unit u of the local ring (the remainder is returned up to a nonzero
-    constant factor)."""
-    tops, limit = keys.tops, keys.limit
-    # T in choice order: least écart, then the smaller lead (the larger
-    # key), then position; each key is made once, on entry.
-    T: list = []
-
-    def enter(g, ecart):
-        lead = g.lead()[0]
-        bisect.insort(T, ((ecart, -lead, len(T)), lead, g))
-
-    for g in reducers:
-        enter(g, keys.ecart(g))
-    h = f
-    while h:
-        hlead = h.lead()[0]
-        covered = hlead | tops
-        for key, glead, g in T:
-            if (covered - glead) & tops == tops:
-                break
-        else:
-            return h
-        gecart = key[0]
-        # The terms of x^(hlead - glead)*g have degree at most
-        # deg(hlead) - deg(glead) + maxdeg(g) = deg(hlead) + ecart(g).
-        if keys.degree(hlead) + gecart >= limit:
-            raise _Overflow
-        hecart = keys.ecart(h)
-        if gecart > hecart:
-            enter(h, hecart)
-        terms = dict(h.terms)
-        _reduce_at(terms, hlead, g)
-        h = _vec_primitive(_Vec(terms))
     return h
 
 
@@ -523,7 +453,7 @@ def _buchberger(gens: Sequence[_Vec], rank: int, keys: _Keys) -> List[_Vec]:
             lcm_kn = mono_lcm(leads[k], m)
             degree = sum(lcm_kn) + max(exps[k], e)
             # Bounds every exponent and degree of the pair's S-vector
-            # and its reduction; see _at_fitting_width for the restart.
+            # and its reduction; see _complete for the restart.
             if degree >= limit:
                 raise _Overflow
             heapq.heappush(pairs, (degree, keys.pack(comp, lcm_kn), k, new))
@@ -602,52 +532,35 @@ def _minimalize(G: List[_Vec], keys: _Keys) -> List[_Vec]:
 
 def _complete(rank: int, generators: Iterable[Sequence[Poly]]) -> Tuple[_Keys, List[_Vec]]:
     """Minimal standard basis of the submodule of O^rank generated by the
-    given component lists, with the keys it is written in; an ideal is
-    rank 1, one list [g] per generator."""
+    given component lists, with the keys it is written in: from the first
+    width that holds the input's largest term degree, and at twice the
+    width for as long as the run overflows.  An ideal is rank 1, one list
+    [g] per generator."""
     generators = [tuple(c) for c in generators]
     polys = [p for c in generators for p in c]
     nvars = polys[0].ring.nvars if polys else 0  # no generators, no keys
-    return _at_fitting_width(
-        nvars, max((p.total_degree() for p in polys), default=0),
-        lambda keys: _minimalize(
-            _buchberger([_vec_from_components(c, keys) for c in generators], rank, keys), keys))
+    width = _first_width(max((p.total_degree() for p in polys), default=0))
+    while True:
+        keys = _Keys(nvars, width)
+        try:
+            return keys, _minimalize(
+                _buchberger([_vec_from_components(c, keys) for c in generators], rank, keys), keys)
+        except _Overflow:
+            # Every choice of the engine depends on key order alone, and
+            # the width does not change that order, so the rerun at twice
+            # the width makes the same choices and returns the same result.
+            width *= 2
 
 
 # ---------------------------------------------------------------------------
 # public operations
-
-def normal_form(f: Poly, basis: Iterable[Poly]) -> Poly:
-    """Mora remainder of f against the given polynomials.
-
-    The result r satisfies u*f = sum q_i g_i + r for some unit u of the
-    local ring, and no leading monomial of the basis divides the leading
-    monomial of r.
-    """
-    polys = []
-    for g in basis:
-        if g.ring != f.ring:
-            raise ValueError("mixed ring contexts")
-        if g:
-            polys.append(g)
-
-    def run(keys):
-        start = _vec_from_components([f], keys)
-        reducers = [_vec_from_components([g], keys) for g in polys]
-        return start, _mora_normal_form(start, reducers, keys)
-
-    degree = max(p.total_degree() for p in [f, *polys])
-    keys, (start, out) = _at_fitting_width(f.ring.nvars, degree, run)
-    if out is start:
-        return f  # nothing to reduce: f itself, not a rescaled copy
-    return _components(out, 1, f.ring, keys)[0]
-
 
 def standard_basis(ideal: Ideal) -> StandardBasis:
     """Minimal standard basis of the ideal in the local ring (see
     StandardBasis)."""
     ring = ideal.ring
     keys, basis = _complete(1, ([g] for g in ideal.generators))
-    elements = tuple(_components(v, 1, ring, keys, v.lead()[1])[0] for v in basis)
+    elements = tuple(_components(v, 1, ring, keys)[0] for v in basis)
     staircase = tuple(keys.unpack(v.lead()[0])[1] for v in basis)
     return StandardBasis(ring, LOCAL_ORDER, elements, staircase)
 
@@ -716,7 +629,7 @@ def module_standard_basis(rank: int, gens: Sequence[FreeModuleElement]) -> List[
     """Standard basis of a submodule of O^r under position-over-term order."""
     _check_module_gens(rank, gens)
     keys, basis = _complete(rank, (g.components for g in gens))
-    return [FreeModuleElement(rank, _components(v, rank, gens[0].ring, keys, v.lead()[1]))
+    return [FreeModuleElement(rank, _components(v, rank, gens[0].ring, keys))
             for v in basis]
 
 

@@ -14,7 +14,6 @@ from detindex import (
     colength,
     minors,
     minors_indexed,
-    normal_form,
     parse_poly,
     stabilized_colength,
     standard_basis,
@@ -105,7 +104,7 @@ def test_higher_minors_lie_in_lower_minor_ideal(ring_xyz):
                 continue
             basis = standard_basis(Ideal(gens))
             for bigger in minors(mat, i + 1):
-                assert normal_form(bigger, basis.elements).is_zero()
+                assert basis.contains(bigger)
 
 
 # -- the data model ----------------------------------------------------------------

@@ -244,7 +244,6 @@ def test_order_axioms_randomized():
 def test_leading_monomial_has_least_degree(ring_xy):
     p = P("x + x^2 + y^3", ring_xy)
     assert p.leading_monomial() == (1, 0)
-    assert p.ecart() == 2
 
 
 def test_variable_names_validated():
@@ -280,5 +279,4 @@ def test_rejected_calls_name_the_fault(call, error, message):
 def test_zero_polynomial_accessors_and_repr(ring_xy):
     zero = ring_xy.zero_poly()
     assert zero.leading() is None
-    assert zero.ecart() == 0
     assert repr(P("x - 2*y", ring_xy)) == "Poly(x - 2*y)"
