@@ -7,7 +7,7 @@ term map, so equality of canonical forms is plain dict equality.
 The single supported term order is anti-graded reverse lexicographic:
 lower total degree wins, ties are broken reverse-lexicographically.  Under
 this order the constant monomial 1 is the greatest monomial, which is what
-makes division behave like division in the local ring at the origin.
+makes leading terms those of the local ring at the origin.
 """
 
 from __future__ import annotations
