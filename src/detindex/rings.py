@@ -130,12 +130,11 @@ def _add_term(terms: dict, m: Monomial, c) -> None:
 class Poly:
     """Immutable multivariate polynomial in canonical form (no zero terms)."""
 
-    __slots__ = ("ring", "terms", "_lead")
+    __slots__ = ("ring", "terms")
 
     def __init__(self, ring: RingContext, terms: dict):
         self.ring = ring
         self.terms = terms
-        self._lead = None
 
     # -- basic queries ------------------------------------------------------
 
@@ -168,10 +167,8 @@ class Poly:
         """(monomial, coefficient) of the greatest term; None for zero."""
         if not self.terms:
             return None
-        if self._lead is None:
-            m = min(self.terms, key=sort_key)
-            self._lead = (m, self.terms[m])
-        return self._lead
+        m = min(self.terms, key=sort_key)
+        return m, self.terms[m]
 
     def leading_monomial(self) -> Monomial:
         lead = self.leading()

@@ -4,7 +4,8 @@ Basis completion is Lazard's: generators are made homogeneous with one
 extra variable t, a plain Buchberger loop runs under the matched graded
 order, and setting t to 1 gives a standard basis for the local order.
 This avoids the long écart-driven reduction chains of a direct Mora
-completion, whose exact coefficients blow up on dense input.  The
+completion, whose exact coefficients blow up on dense input.  An engine
+vector is a plain dict from term key (below) to int coefficient.  The
 exponent of t is not stored: a vector keeps its terms in the original
 variables and the loop keeps its homogenized degree D (the "sugar" of
 Greuel-Pfister, section 1.7; a generator's D is its largest term
@@ -44,7 +45,9 @@ so ascending key order is (component, ``rings.sort_key``): position
 over term, earlier components first, and within a component the one
 term order that orders every ``Poly`` too.  It is the local order, and
 on the terms of one homogeneous vector, which share their degree with
-t, the graded order.  A vector's lead is its least key, a monomial
+t, the graded order.  A vector's lead is its least key: code that holds
+it already (a basis element's is kept with it) passes it on, the rest
+takes min of the dict.  A monomial
 product is one addition of keys and a quotient one subtraction (the
 component field cancels), and for two keys a, b of one component, a
 divides b exactly when ((b | tops) - a) & tops == tops, where tops holds
@@ -105,8 +108,8 @@ leading module, so every pair of a greater degree reduces to zero term
 by term.  Pairs pop by degree, so the loop ends at the first such pair:
 it skips only zero reductions, and the basis, hence the standard basis
 that setting t to 1 gives (Lazard), is what the full loop returns.  The
-walk runs at each new pair degree, and only if the basis has grown since
-the last walk.
+walk runs at a pop whenever the basis has grown since the last walk, so
+the loop can end inside a degree: the argument holds at any pop.
 
 Membership is a lead question too, not a division: f lies in I exactly
 when I + (f) has the staircase of I (Greuel-Pfister, section 1.6), so
@@ -265,11 +268,6 @@ class _Keys:
         tops = self.tops
         return ((b | tops) - a) & tops == tops
 
-    def ecart(self, v: "_Vec") -> int:
-        """Largest term degree of a nonzero v less the degree of its lead."""
-        shift, mask = self.degree_shift, self.mask
-        return max((k >> shift) & mask for k in v.terms) - self.degree(v.lead()[0])
-
 
 def _first_width(degree: int) -> int:
     """The least width, 16 bits at the least, whose fields hold `degree`."""
@@ -277,27 +275,9 @@ def _first_width(degree: int) -> int:
 
 
 # ---------------------------------------------------------------------------
-# internal vector representation: dict[term key] -> int
+# engine vectors: dict[term key] -> int, led by the least key
 
-class _Vec:
-    __slots__ = ("terms", "_lead")
-
-    def __init__(self, terms: dict):
-        self.terms = terms
-        self._lead = None
-
-    def __bool__(self):
-        return bool(self.terms)
-
-    def lead(self):
-        # Greatest term: least key.
-        if self._lead is None and self.terms:
-            key = min(self.terms)
-            self._lead = (key, self.terms[key])
-        return self._lead
-
-
-def _vec_from_components(components: Sequence[Poly], keys: _Keys) -> _Vec:
+def _vec_from_components(components: Sequence[Poly], keys: _Keys) -> dict:
     """Integer vector: the rational components times the least common
     denominator of their coefficients (a positive scalar)."""
     coeffs = [c for poly in components for c in poly.terms.values()]
@@ -306,44 +286,41 @@ def _vec_from_components(components: Sequence[Poly], keys: _Keys) -> _Vec:
     for comp, poly in enumerate(components):
         for m, c in poly.terms.items():
             terms[keys.pack(comp, m)] = c.numerator * (den // c.denominator)
-    return _Vec(terms)
+    return terms
 
 
-def _components(vec: _Vec, rank: int, ring: RingContext, keys: _Keys) -> List[Poly]:
+def _components(vec: dict, rank: int, ring: RingContext, keys: _Keys) -> List[Poly]:
     """The rank rational component polynomials of vec divided by its lead
     coefficient: the one place the engine makes rationals."""
-    scale = vec.lead()[1]
+    scale = vec[min(vec)]
     buckets: List[dict] = [dict() for _ in range(rank)]
-    for k, c in vec.terms.items():
+    for k, c in vec.items():
         comp, m = keys.unpack(k)
         buckets[comp][m] = Fraction(c, scale)
     return [Poly(ring, b) for b in buckets]
 
 
-def _vec_primitive(v: _Vec) -> _Vec:
+def _vec_primitive(v: dict) -> dict:
     """Divide an integer vector by its content, signed so that the leading
     coefficient is positive: the canonical representative of v up to a
     nonzero scalar (keeps coefficient growth in check during long
     reduction chains)."""
-    if not v.terms:
+    if not v:
         return v
-    lead_key, lead_coeff = v.lead()
-    content = gcd(*v.terms.values())
-    if lead_coeff < 0:
+    content = gcd(*v.values())
+    if v[min(v)] < 0:
         content = -content
     if content == 1:
         return v
-    out = _Vec({k: c // content for k, c in v.terms.items()})
-    out._lead = (lead_key, lead_coeff // content)
-    return out
+    return {k: c // content for k, c in v.items()}
 
 
-def _reduce_at(h: dict, lead: int, g: _Vec) -> list:
+def _reduce_at(h: dict, lead: int, g: dict, glead: int) -> list:
     """The one cancellation kernel: h := gc*h - fc*x^shift*g in place, where
-    x^shift times the lead monomial of g is the term lead of h, and fc, gc
-    are h[lead] and the lead coefficient of g divided by their gcd, so the
-    term at lead cancels.  Returns the keys it created."""
-    glead, glc = g.lead()
+    x^shift times glead, the lead of g, is the term lead of h, and fc, gc
+    are h[lead] and g[glead] divided by their gcd, so the term at lead
+    cancels.  Returns the keys it created."""
+    glc = g[glead]
     d = gcd(h[lead], glc)
     fc, gc = h[lead] // d, glc // d
     if gc != 1:
@@ -351,7 +328,7 @@ def _reduce_at(h: dict, lead: int, g: _Vec) -> list:
             h[k] *= gc
     shift = lead - glead
     created = []
-    for k, c in g.terms.items():
+    for k, c in g.items():
         k += shift
         delta = c * fc
         s = h.get(k)
@@ -365,12 +342,13 @@ def _reduce_at(h: dict, lead: int, g: _Vec) -> list:
     return created
 
 
-def _s_vector(gi: _Vec, gj: _Vec, lcm_ij: int) -> dict:
-    """x^(lcm/lead gi)*gi with its lead cancelled against gj: the
-    S-vector, not yet primitive, as the first step of its reduction."""
-    shift = lcm_ij - gi.lead()[0]
-    h = {k + shift: v for k, v in gi.terms.items()}
-    _reduce_at(h, lcm_ij, gj)
+def _s_vector(gi: dict, ilead: int, gj: dict, jlead: int, lcm_ij: int) -> dict:
+    """x^(lcm/ilead)*gi with its lead cancelled against gj, for ilead and
+    jlead the leads of gi and gj: the S-vector, not yet primitive, as the
+    first step of its reduction."""
+    shift = lcm_ij - ilead
+    h = {k + shift: v for k, v in gi.items()}
+    _reduce_at(h, lcm_ij, gj, jlead)
     return h
 
 
@@ -378,14 +356,13 @@ def _s_vector(gi: _Vec, gj: _Vec, lcm_ij: int) -> dict:
 _CONTENT_EVERY = 8
 
 
-def _reducer_entry(g: _Vec, e: int, index: int, keys: _Keys) -> tuple:
+def _reducer_entry(g: dict, lead: int, e: int, index: int, keys: _Keys) -> tuple:
     """The entry of basis element `index`, g with t^e in its lead, in its
     component's reducer table: choice key, then what a division step reads."""
-    lead = g.lead()[0]
-    return ((len(g.terms), -(keys.degree(lead) + e), lead, index), lead, e, g)
+    return ((len(g), -(keys.degree(lead) + e), lead, index), lead, e, g)
 
 
-def _global_normal_form(h: dict, degree: int, tables: Sequence[list], keys: _Keys) -> _Vec:
+def _global_normal_form(h: dict, degree: int, tables: Sequence[list], keys: _Keys) -> dict:
     """Plain lead reduction of the terms h of a homogeneous vector of
     degree `degree`, in place (see module docstring), against one table
     per component of _reducer_entry entries in ascending order; the first
@@ -407,7 +384,7 @@ def _global_normal_form(h: dict, degree: int, tables: Sequence[list], keys: _Key
                 break
         else:
             break  # the lead is irreducible
-        for k in _reduce_at(h, lead, g):
+        for k in _reduce_at(h, lead, g, glead):
             heapq.heappush(heap, k)
         steps += 1
         if steps % _CONTENT_EVERY == 0:
@@ -415,17 +392,14 @@ def _global_normal_form(h: dict, degree: int, tables: Sequence[list], keys: _Key
             if content != 1:
                 for k in h:
                     h[k] //= content
-    out = _Vec(h)
-    if h:
-        out._lead = (lead, h[lead])
-    return _vec_primitive(out)
+    return _vec_primitive(h)
 
 
-def _buchberger(gens: Sequence[_Vec], rank: int, keys: _Keys) -> List[_Vec]:
+def _buchberger(gens: Sequence[dict], rank: int, keys: _Keys) -> List[dict]:
     """Homogenized Buchberger completion (see module docstring), with t
     set to 1 in the result."""
     tops, limit = keys.tops, keys.limit
-    G: List[_Vec] = []
+    G: List[dict] = []
     leads: List[Monomial] = []  # leads[i]: the exponent tuple of the lead of G[i]
     lead_keys: List[int] = []
     exps: List[int] = []  # exps[i]: the exponent of t in the lead of G[i]
@@ -438,17 +412,19 @@ def _buchberger(gens: Sequence[_Vec], rank: int, keys: _Keys) -> List[_Vec]:
     # total order, as (i, j) is unique.
     pairs: list = []
 
-    def add(v, e):
-        # The one way into the basis: record v, file its reducer entry,
-        # and pair it with every earlier element of its component.
+    def add(v, degree):
+        # The one way into the basis: record v of homogenized degree
+        # `degree`, file its reducer entry, and pair it with every earlier
+        # element of its component.
         new = len(G)
-        lead = v.lead()[0]
+        lead = min(v)
+        e = degree - keys.degree(lead)
         comp, m = keys.unpack(lead)
         G.append(v)
         leads.append(m)
         lead_keys.append(lead)
         exps.append(e)
-        bisect.insort(tables[comp], _reducer_entry(v, e, new, keys))
+        bisect.insort(tables[comp], _reducer_entry(v, lead, e, new, keys))
         for k in members[comp]:
             lcm_kn = mono_lcm(leads[k], m)
             degree = sum(lcm_kn) + max(exps[k], e)
@@ -459,25 +435,24 @@ def _buchberger(gens: Sequence[_Vec], rank: int, keys: _Keys) -> List[_Vec]:
             heapq.heappush(pairs, (degree, keys.pack(comp, lcm_kn), k, new))
         members[comp].append(new)
 
+    # the highest-corner stop (see module docstring) is for input whose
+    # every generator has all its terms in one degree
+    homogeneous = True
     for g in gens:
         if g:
             # homogenized to its largest term degree, which the first
-            # width holds: t^ecart in its lead
-            g = _vec_primitive(g)
-            add(g, keys.ecart(g))
+            # width holds
+            degrees = {keys.degree(k) for k in g}
+            homogeneous = homogeneous and len(degrees) == 1
+            add(_vec_primitive(g), max(degrees))
     done = set()
-    # the highest-corner stop (see module docstring), for input whose
-    # every generator has all its terms in one degree
-    homogeneous = all(len({keys.degree(k) for k in g.terms}) == 1 for g in G)
-    degree_seen, walked_size, top = -1, 0, INFINITE
+    walked_size, top = 0, INFINITE
 
     while pairs:
         degree, lcm_ij, i, j = heapq.heappop(pairs)
-        if homogeneous and degree > degree_seen:
-            degree_seen = degree
-            if len(G) > walked_size:
-                walked_size = len(G)
-                top = _lead_walk([[leads[k] for k in ks] for ks in members])[1]
+        if homogeneous and len(G) > walked_size:
+            walked_size = len(G)
+            top = _lead_walk([[leads[k] for k in ks] for ks in members])[1]
         if top is not INFINITE and degree > top:
             break  # every pair left reduces to zero
         done.add((i, j))
@@ -490,38 +465,39 @@ def _buchberger(gens: Sequence[_Vec], rank: int, keys: _Keys) -> List[_Vec]:
                and (min(i, k), max(i, k)) in done and (min(j, k), max(j, k)) in done
                for k in members[lcm_ij >> keys.comp_shift]):
             continue  # chain criterion
-        h = _global_normal_form(_s_vector(G[i], G[j], lcm_ij), degree, tables, keys)
+        s = _s_vector(G[i], lead_keys[i], G[j], lead_keys[j], lcm_ij)
+        h = _global_normal_form(s, degree, tables, keys)
         if h:
-            add(h, degree - keys.degree(h.lead()[0]))
+            add(h, degree)
     return G
 
 
-def _absorb_unit_factor(v: _Vec, keys: _Keys) -> _Vec:
+def _absorb_unit_factor(v: dict, keys: _Keys) -> dict:
     """Replace unit * leading term by the leading term alone.
 
     Sound exactly when every tail term sits in the lead component and is
     divisible by the leading monomial: then v = (1 + q) * lead with q a
     non-unit, so the ideal (module) generated is unchanged.
     """
-    lead, coeff = v.lead()
+    lead = min(v)
     comp = lead >> keys.comp_shift
-    for k in v.terms:
+    for k in v:
         if k >> keys.comp_shift != comp or not keys.divides(lead, k):
             return v
-    return _Vec({lead: coeff})
+    return {lead: v[lead]}
 
 
-def _minimalize(G: List[_Vec], keys: _Keys) -> List[_Vec]:
+def _minimalize(G: List[dict], keys: _Keys) -> List[dict]:
     """The vectors of G whose lead no earlier lead divides, in canonical
     order, each with a unit factor absorbed: primitive integer vectors."""
-    kept: List[_Vec] = []
+    kept: List[dict] = []
     kept_leads: List[int] = []
     # A divisor has smaller or equal degree, and the key orders by
     # component and then degree, so one sort by lead key scans low degree
     # first within each component and leaves the kept vectors in their
     # final order.
-    for v in sorted(G, key=lambda v: v.lead()[0]):
-        lead = v.lead()[0]
+    for v in sorted(G, key=min):
+        lead = min(v)
         comp = lead >> keys.comp_shift
         if any(k >> keys.comp_shift == comp and keys.divides(k, lead) for k in kept_leads):
             continue
@@ -530,7 +506,7 @@ def _minimalize(G: List[_Vec], keys: _Keys) -> List[_Vec]:
     return kept
 
 
-def _complete(rank: int, generators: Iterable[Sequence[Poly]]) -> Tuple[_Keys, List[_Vec]]:
+def _complete(rank: int, generators: Iterable[Sequence[Poly]]) -> Tuple[_Keys, List[dict]]:
     """Minimal standard basis of the submodule of O^rank generated by the
     given component lists, with the keys it is written in: from the first
     width that holds the input's largest term degree, and at twice the
@@ -561,7 +537,7 @@ def standard_basis(ideal: Ideal) -> StandardBasis:
     ring = ideal.ring
     keys, basis = _complete(1, ([g] for g in ideal.generators))
     elements = tuple(_components(v, 1, ring, keys)[0] for v in basis)
-    staircase = tuple(keys.unpack(v.lead()[0])[1] for v in basis)
+    staircase = tuple(keys.unpack(min(v))[1] for v in basis)
     return StandardBasis(ring, LOCAL_ORDER, elements, staircase)
 
 
@@ -598,12 +574,12 @@ def _lead_walk(per_component: Sequence[Sequence[Monomial]]):
     return sum(count for count, _ in walks), max(top for _, top in walks)
 
 
-def _lead_count(keys: _Keys, basis: Sequence[_Vec], rank: int):
+def _lead_count(keys: _Keys, basis: Sequence[dict], rank: int):
     """Colength of a submodule of O^rank from its standard basis, written
     in keys, or INFINITE."""
     per_component: List[List[Monomial]] = [[] for _ in range(rank)]
     for v in basis:
-        comp, mono = keys.unpack(v.lead()[0])
+        comp, mono = keys.unpack(min(v))
         per_component[comp].append(mono)
     return _lead_walk(per_component)[0]
 
