@@ -3,8 +3,8 @@
 The ring holds named variables over exact rational coefficients.  The
 single term order is anti-graded reverse lexicographic: the constant 1
 is the greatest monomial, so a polynomial's leading term is its lowest
-degree part.  That convention is what makes division behave like
-division of power series at the origin.
+degree part.  That convention is what makes leading terms those of the
+local ring at the origin.
 """
 
 from detindex import RingContext, parse_poly, sort_key
@@ -24,8 +24,7 @@ print("1 > x:", sort_key((0, 0, 0, 0)) < sort_key((1, 0, 0, 0)))
 print("x > x^2:", sort_key((1, 0, 0, 0)) < sort_key((2, 0, 0, 0)))
 
 h = parse_poly("x + x^2 + y^3", ring)
-lead, _ = h.leading()
-print("leading monomial of x + x^2 + y^3 is x:", lead == (1, 0, 0, 0))
+print("leading monomial of x + x^2 + y^3 is x:", h.leading_monomial() == (1, 0, 0, 0))
 
 # derivatives are formal and exact
 p = parse_poly("z*x - u*(y+u)", ring)

@@ -393,7 +393,7 @@ def _cmd_tables(data: Optional[ManifestData], args):
         except ValueError:
             raise ManifestError("(--type)", "expected m,n,t integers") from None
         if not 1 <= t <= m <= n:
-            raise ManifestError("type", "need 1 <= t <= m <= n")
+            raise ManifestError("(--type)", "need 1 <= t <= m <= n")
         ambient = None
     else:
         if data is None:
@@ -498,9 +498,5 @@ def run(argv=None) -> int:
         return 1
 
 
-def main(argv=None) -> int:
-    return run(argv)
-
-
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(run())

@@ -50,9 +50,6 @@ class RingContext:
         except ValueError:
             raise KeyError("unknown variable name %r" % (name,)) from None
 
-    def coeff(self, numerator: int, denominator: int = 1) -> Fraction:
-        return Fraction(numerator, denominator)
-
     def zero_poly(self) -> "Poly":
         return Poly(self, {})
 
@@ -72,7 +69,7 @@ class RingContext:
             raise IndexError("variable index out of range")
         expt = [0] * self.nvars
         expt[index] = 1
-        return Poly(self, {tuple(expt): self.coeff(1)})
+        return Poly(self, {tuple(expt): Fraction(1)})
 
 
 # ---------------------------------------------------------------------------
@@ -84,10 +81,6 @@ def mono_mul(a: Monomial, b: Monomial) -> Monomial:
 
 def mono_lcm(a: Monomial, b: Monomial) -> Monomial:
     return tuple(map(max, a, b))
-
-
-def mono_degree(a: Monomial) -> int:
-    return sum(a)
 
 
 def monomials_up_to(nvars: int, maxdeg: int) -> Iterator[Monomial]:
@@ -141,9 +134,6 @@ class Poly:
     def __bool__(self) -> bool:
         return bool(self.terms)
 
-    def is_zero(self) -> bool:
-        return not self.terms
-
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, Poly)
@@ -161,20 +151,13 @@ class Poly:
         return max(sum(m) for m in self.terms)
 
     def constant_term(self):
-        return self.terms.get((0,) * self.ring.nvars, self.ring.coeff(0))
-
-    def leading(self):
-        """(monomial, coefficient) of the greatest term; None for zero."""
-        if not self.terms:
-            return None
-        m = min(self.terms, key=sort_key)
-        return m, self.terms[m]
+        return self.terms.get((0,) * self.ring.nvars, Fraction(0))
 
     def leading_monomial(self) -> Monomial:
-        lead = self.leading()
-        if lead is None:
+        """The greatest monomial under the local order."""
+        if not self.terms:
             raise ValueError("zero polynomial has no leading monomial")
-        return lead[0]
+        return min(self.terms, key=sort_key)
 
     # -- arithmetic ----------------------------------------------------------
 
@@ -401,7 +384,7 @@ class _Parser:
                 self.advance()
                 if dvalue == 0:
                     raise PolyParseError("zero denominator", dpos)
-                return self.ring.constant(self.ring.coeff(value, dvalue))
+                return self.ring.constant(Fraction(value, dvalue))
             return self.ring.constant(value)
         if kind == "name":
             try:

@@ -158,6 +158,7 @@ class Ideal:
     """Ideal of the local ring, given by generators (zero generators dropped)."""
 
     generators: Tuple[Poly, ...]
+    ring: RingContext
 
     def __init__(self, generators: Sequence[Poly]):
         gens = tuple(generators)
@@ -168,11 +169,7 @@ class Ideal:
             if g.ring != ring:
                 raise ValueError("mixed ring contexts in ideal generators")
         object.__setattr__(self, "generators", tuple(g for g in gens if g))
-        object.__setattr__(self, "_ring", ring)
-
-    @property
-    def ring(self) -> RingContext:
-        return self._ring  # type: ignore[attr-defined]
+        object.__setattr__(self, "ring", ring)
 
 
 @dataclass(frozen=True)

@@ -50,7 +50,7 @@ from math import comb, gcd, lcm
 from operator import mul
 from typing import List, Sequence, Tuple
 
-from .rings import mono_degree, monomials_up_to
+from .rings import monomials_up_to
 from .standard_bases import INFINITE, FreeModuleElement, Ideal, _check_module_gens
 
 ORACLE_START_CAP = 4
@@ -85,7 +85,7 @@ def _hilbert_samuel(rank: int, gen_terms, nvars: int, cap: int) -> List[int]:
     # is code(mn) whenever mn has degree < cap; comp * cap^nvars on top
     # keeps the components apart.  Code order is revlex order.
     weights = [cap**i for i in range(nvars)]
-    monos = [(mono_degree(m), sum(map(mul, m, weights))) for m in monomials_up_to(nvars, cap - 1)]
+    monos = [(sum(m), sum(map(mul, m, weights))) for m in monomials_up_to(nvars, cap - 1)]
     base = cap**nvars
     keys = sorted((deg, comp * base + code) for comp in range(rank) for deg, code in monos)
     column = {key: col for col, (_, key) in enumerate(keys)}
@@ -93,9 +93,9 @@ def _hilbert_samuel(rank: int, gen_terms, nvars: int, cap: int) -> List[int]:
     pivots = {}  # column -> (lead coefficient > 0, [(column, coefficient)] of the tail)
     for gen in gen_terms:
         terms = [
-            (mono_degree(m), comp * base + sum(map(mul, m, weights)), c)
+            (sum(m), comp * base + sum(map(mul, m, weights)), c)
             for (comp, m), c in gen
-            if mono_degree(m) < cap
+            if sum(m) < cap
         ]
         if not terms:
             continue  # no term below the cap: every row is zero
@@ -169,13 +169,6 @@ def _gen_terms(gens):
     return out
 
 
-def _module_gen_terms(rank: int, gens: Sequence[FreeModuleElement]):
-    _check_module_gens(rank, gens)  # the rank is checked first, also with no generators
-    if not gens:
-        raise ValueError("need at least one module generator")
-    return _gen_terms(gen.components for gen in gens)
-
-
 def _stabilize(rank: int, gen_terms, nvars: int, ceiling: int) -> TruncationReport:
     if ceiling < 2:
         raise ValueError("ceiling must be at least 2: stabilization compares two caps")
@@ -197,4 +190,7 @@ def stabilized_colength(ideal: Ideal, ceiling: int = ORACLE_CEILING) -> Truncati
 def stabilized_module_colength(
     rank: int, gens: Sequence[FreeModuleElement], ceiling: int = ORACLE_CEILING
 ) -> TruncationReport:
-    return _stabilize(rank, _module_gen_terms(rank, gens), gens[0].ring.nvars, ceiling)
+    _check_module_gens(rank, gens)  # the rank is checked first, also with no generators
+    if not gens:
+        raise ValueError("need at least one module generator")
+    return _stabilize(rank, _gen_terms(gen.components for gen in gens), gens[0].ring.nvars, ceiling)

@@ -41,7 +41,7 @@ def random_poly(ring, rng, max_terms=5, max_deg=3, allow_constant=True):
             terms[tuple(mono)] = terms.get(tuple(mono), 0) + c
     poly = ring.zero_poly()
     for mono, c in terms.items():
-        poly = poly + Poly(ring, {mono: ring.coeff(c)}) if c else poly
+        poly = poly + Poly(ring, {mono: Fraction(c)}) if c else poly
     return poly
 
 

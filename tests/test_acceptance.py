@@ -9,6 +9,7 @@ import math
 import os
 import random
 import time
+from fractions import Fraction
 
 from detindex import (
     DetSingularity,
@@ -34,7 +35,7 @@ from detindex import (
     stratum_dim,
     stratum_ideal,
 )
-from detindex.cli import main
+from detindex.cli import run
 
 from conftest import chi_bar_sum
 
@@ -49,7 +50,7 @@ def report_line(number, ok, detail):
 def run_command(tmp_path, command, name):
     out = str(tmp_path / name)
     start = time.perf_counter()
-    code = main([command, MANIFEST, "--output", out])
+    code = run([command, MANIFEST, "--output", out])
     elapsed = time.perf_counter() - start
     with open(out) as fh:
         result = json.load(fh)["result"]
@@ -107,7 +108,7 @@ def test_criterion_3_combinatorial_identities():
 def _monomial_ideal(ring, exponent_sets):
     gens = []
     for expts in exponent_sets:
-        gens.append(Poly(ring, {tuple(expts): ring.coeff(1)}))
+        gens.append(Poly(ring, {tuple(expts): Fraction(1)}))
     return Ideal(gens)
 
 
@@ -120,7 +121,7 @@ def _power_ideal(nvars, k):
         expts = [0] * nvars
         for i in combo:
             expts[i] += 1
-        gens.append(Poly(ring, {tuple(expts): ring.coeff(1)}))
+        gens.append(Poly(ring, {tuple(expts): Fraction(1)}))
     return Ideal(gens), math.comb(nvars + k - 1, nvars)
 
 
@@ -161,7 +162,7 @@ def _oracle_corpus():
                 for i in range(nvars):
                     mono = [0] * nvars
                     mono[i] = 1
-                    terms[tuple(mono)] = ring.coeff(rng.randint(1, 9) * rng.choice((-1, 1)))
+                    terms[tuple(mono)] = Fraction(rng.randint(1, 9) * rng.choice((-1, 1)))
                 gens.append(Poly(ring, terms))
             quad_terms = {}
             for i in range(nvars):
@@ -169,7 +170,7 @@ def _oracle_corpus():
                     mono = [0] * nvars
                     mono[i] += 1
                     mono[j] += 1
-                    quad_terms[tuple(mono)] = ring.coeff(rng.randint(1, 9) * rng.choice((-1, 1)))
+                    quad_terms[tuple(mono)] = Fraction(rng.randint(1, 9) * rng.choice((-1, 1)))
             gens.append(Poly(ring, quad_terms))
             corpus.append(("dense linear+quadric in %d vars" % nvars, Ideal(gens), None))
     return corpus

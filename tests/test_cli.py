@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from detindex.cli import _COMMANDS, _jsonable, build_parser, main, run
+from detindex.cli import _COMMANDS, _jsonable, build_parser, run
 
 from conftest import time_limit
 
@@ -19,7 +19,7 @@ def write_manifest(tmp_path, doc, name="m.json"):
 
 
 def run_cli(capsys, *argv):
-    code = main(list(argv))
+    code = run(list(argv))
     out = capsys.readouterr()
     return code, out.out, out.err
 
@@ -395,7 +395,7 @@ _TYPE_232 = {"type": [2, 3, 2], "N": 6}
                  "must be an integer", id="chi-sing-string"),
     pytest.param(["tables", "--type", "2,x,2"], None, "(--type)", "expected m,n,t integers",
                  id="tables-type-not-integers"),
-    pytest.param(["tables", "--type", "3,2,2"], None, "type", "need 1 <= t <= m <= n",
+    pytest.param(["tables", "--type", "3,2,2"], None, "(--type)", "need 1 <= t <= m <= n",
                  id="tables-type-order"),
     pytest.param(["tables"], None, "(--type)", "required when no manifest is given", id="tables-no-input"),
 ])
@@ -462,7 +462,7 @@ def test_numeral_past_the_digit_limit_names_field(tmp_path, capsys, entry):
 
 def run_usage(capsys, *argv):
     with pytest.raises(SystemExit) as exc:
-        main(list(argv))
+        run(list(argv))
     out = capsys.readouterr()
     return exc.value.code, out.out, out.err
 

@@ -1,5 +1,6 @@
 import random
 import re
+from fractions import Fraction
 
 import pytest
 
@@ -23,13 +24,13 @@ def P(src, ring):
 def test_parse_two_term_sum(ring_xyzu):
     p = P("y+u", ring_xyzu)
     assert p.terms == {
-        (0, 1, 0, 0): ring_xyzu.coeff(1),
-        (0, 0, 0, 1): ring_xyzu.coeff(1),
+        (0, 1, 0, 0): Fraction(1),
+        (0, 0, 0, 1): Fraction(1),
     }
 
 
 def test_parse_zero(ring_xyzu):
-    assert P("0", ring_xyzu).is_zero()
+    assert not P("0", ring_xyzu)
 
 
 def test_parse_binomial_identity(ring_xy):
@@ -38,8 +39,8 @@ def test_parse_binomial_identity(ring_xy):
 
 def test_parse_rational_literals(ring_xy):
     p = P("1/2*x + 3/4", ring_xy)
-    assert p.terms[(1, 0)] == ring_xy.coeff(1, 2)
-    assert p.terms[(0, 0)] == ring_xy.coeff(3, 4)
+    assert p.terms[(1, 0)] == Fraction(1, 2)
+    assert p.terms[(0, 0)] == Fraction(3, 4)
 
 
 def test_parse_unary_minus_and_powers(ring_xy):
@@ -106,7 +107,7 @@ def test_render_parse_round_trip_random(ring_xyz):
 
 def test_additive_inverse(ring_xy):
     x = ring_xy.variable("x")
-    assert (x + (-x)).is_zero()
+    assert not x + (-x)
 
 
 def test_difference_of_squares(ring_xy):
@@ -159,7 +160,7 @@ def test_power_builds_no_product_past_the_result(monkeypatch, ring_xy):
 
 
 def test_exactness_no_rounding(ring_xy):
-    third = ring_xy.constant(ring_xy.coeff(1, 3))
+    third = ring_xy.constant(Fraction(1, 3))
     assert third + third + third == ring_xy.one_poly()
 
 
@@ -167,7 +168,7 @@ def test_exactness_no_rounding(ring_xy):
 
 def test_partial_derivative_examples(ring_xyzu):
     assert P("x^2*y", ring_xyzu).partial_derivative(0) == P("2*x*y", ring_xyzu)
-    assert P("y+u", ring_xyzu).partial_derivative(2).is_zero()
+    assert not P("y+u", ring_xyzu).partial_derivative(2)
     assert P("z*x - u*(y+u)", ring_xyzu).partial_derivative(3) == P("-y - 2*u", ring_xyzu)
 
 
@@ -278,5 +279,7 @@ def test_rejected_calls_name_the_fault(call, error, message):
 
 def test_zero_polynomial_accessors_and_repr(ring_xy):
     zero = ring_xy.zero_poly()
-    assert zero.leading() is None
+    assert zero.constant_term() == Fraction(0) and isinstance(zero.constant_term(), Fraction)
+    assert zero.total_degree() == 0
+    assert repr(zero) == "Poly(0)"
     assert repr(P("x - 2*y", ring_xy)) == "Poly(x - 2*y)"

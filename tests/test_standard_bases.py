@@ -145,7 +145,7 @@ def test_colength_powers_of_maximal_ideal():
                 mono = [0] * nvars
                 for i in combo:
                     mono[i] += 1
-                gens.append(Poly(ring, {tuple(mono): ring.coeff(1)}))
+                gens.append(Poly(ring, {tuple(mono): Fraction(1)}))
             assert colength(Ideal(gens)) == math.comb(nvars + k - 1, nvars)
 
 
@@ -387,6 +387,17 @@ def test_ideal_validation(ring_xy, ring_xyz):
         Ideal([])
     with pytest.raises(ValueError):
         Ideal([ring_xy.variable(0), ring_xyz.variable(0)])
+
+
+def test_ideal_equality_hash_and_repr_include_the_ring(ring_xy, ring_xyz):
+    # Both zero ideals have no generators left: only the ring tells them apart.
+    zero_xy, zero_xyz = Ideal([ring_xy.zero_poly()]), Ideal([ring_xyz.zero_poly()])
+    assert zero_xy != zero_xyz
+    assert len({zero_xy, zero_xyz}) == 2
+    assert "('x', 'y')" in repr(zero_xy) and "('x', 'y', 'z')" in repr(zero_xyz)
+    x = ring_xy.variable(0)
+    assert Ideal([x]) == Ideal([x, ring_xy.zero_poly()])
+    assert hash(Ideal([x])) == hash(Ideal([x, ring_xy.zero_poly()]))
 
 
 # -- the engine against copying, step-by-step references ---------------------------
