@@ -54,7 +54,7 @@ def ideal(ring, *srcs):
 # -- standard bases --------------------------------------------------------------
 
 def test_staircase_lists_the_leading_monomials(ring_xyz):
-    # The engine's leads and Poly.leading come from one order key.
+    # The engine's leads and Poly.leading_monomial come from one order key.
     rng = random.Random(79)
     for _ in range(25):
         gens = [p for p in (random_poly(ring_xyz, rng, allow_constant=False) for _ in range(3)) if p]
