@@ -56,10 +56,17 @@ from .truncation import (
 )
 
 
-class ManifestError(ValueError):
+class InputError(ValueError):
+    """An input the CLI refuses; the message starts with what is at fault:
+    the manifest file, a manifest field or a command-line option."""
+
+    def __init__(self, where: str, message: str):
+        super().__init__("%s: %s" % (where, message))
+
+
+class ManifestError(InputError):
     def __init__(self, field: str, message: str):
-        super().__init__("manifest field '%s': %s" % (field, message))
-        self.field = field
+        super().__init__("manifest field '%s'" % field, message)
 
 
 def _jsonable(value):
@@ -90,15 +97,15 @@ def load_manifest(path: str) -> dict:
         with open(path, "r", encoding="utf-8") as fh:
             doc = json.load(fh)
     except OSError as exc:
-        raise ManifestError("(file)", str(exc)) from None
+        raise InputError("manifest file", str(exc)) from None
     except UnicodeDecodeError as exc:
-        raise ManifestError("(file)", "not valid UTF-8: %s" % exc) from None
+        raise InputError("manifest file", "not valid UTF-8: %s" % exc) from None
     except ValueError as exc:  # bad syntax, or an integer too long to convert
-        raise ManifestError("(file)", "invalid JSON: %s" % exc) from None
+        raise InputError("manifest file", "invalid JSON: %s" % exc) from None
     except RecursionError:
-        raise ManifestError("(file)", "JSON nested too deeply") from None
+        raise InputError("manifest file", "JSON nested too deeply") from None
     if not isinstance(doc, dict):
-        raise ManifestError("(file)", "top-level value must be an object")
+        raise InputError("manifest file", "top-level value must be an object")
     if "manifest" in doc and "command" in doc:
         doc = doc["manifest"]  # a previously emitted report
         if not isinstance(doc, dict):
@@ -261,7 +268,7 @@ def _colength_command(args, result_key: str, finite_required: bool, *inputs):
     oracle, which are looked up in this module when called.  With
     --oracle, the oracle re-derives the value and must agree."""
     if args.oracle and args.degree_cap < 2:
-        raise ManifestError("(--degree-cap)", "must be at least 2: the oracle compares two caps")
+        raise InputError("--degree-cap", "must be at least 2: the oracle compares two caps")
     if isinstance(inputs[0], Ideal):
         engine, oracle = colength, stabilized_colength
     else:
@@ -306,7 +313,7 @@ def _cmd_minors(data: ManifestData, args):
     try:
         polys = minors(sing.matrix, size)
     except ValueError as exc:
-        raise ManifestError("(--size)", str(exc)) from None
+        raise InputError("--size", str(exc)) from None
     return {"size": size, "minors": [p.render() for p in polys]}, {}, 0
 
 
@@ -391,13 +398,13 @@ def _cmd_tables(data: Optional[ManifestData], args):
         try:
             m, n, t = (int(x) for x in args.type.split(","))
         except ValueError:
-            raise ManifestError("(--type)", "expected m,n,t integers") from None
+            raise InputError("--type", "expected m,n,t integers") from None
         if not 1 <= t <= m <= n:
-            raise ManifestError("(--type)", "need 1 <= t <= m <= n")
+            raise InputError("--type", "need 1 <= t <= m <= n")
         ambient = None
     else:
         if data is None:
-            raise ManifestError("(--type)", "required when no manifest is given")
+            raise InputError("--type", "required when no manifest is given")
         m, n, t, ambient = data.type_triple()
     mats = coeff_matrices(m, n, t)
     result = {
@@ -488,12 +495,11 @@ def run(argv=None) -> int:
                 with open(args.output, "w", encoding="utf-8") as fh:
                     fh.write(text)
             except OSError as exc:
-                sys.stderr.write("error: --output: %s\n" % exc)
-                return 1
+                raise InputError("--output", str(exc)) from None
         else:
             sys.stdout.write(text)
         return code
-    except ManifestError as exc:
+    except InputError as exc:
         sys.stderr.write("error: %s\n" % exc)
         return 1
 

@@ -155,7 +155,14 @@ INFINITE = _Infinite.INFINITE
 
 @dataclass(frozen=True)
 class Ideal:
-    """Ideal of the local ring, given by generators (zero generators dropped)."""
+    """Ideal of the local ring, given by generators (zero generators dropped).
+
+    `==` and `hash` compare presentations (the ring and the generator
+    tuple), not ideals: Ideal([x, y]) != Ideal([y, x]).  Two ideals I and J
+    are equal when I, J and I + J have equal staircases (I and J lie in
+    I + J, and an ideal inside another with the same staircase is the
+    other); `StandardBasis.contains` tests membership the same way.
+    """
 
     generators: Tuple[Poly, ...]
     ring: RingContext

@@ -27,11 +27,18 @@ multiplying monomials is adding their codes.
 Because the associated graded module of a quotient is generated in
 degree zero, two equal consecutive values dim at caps D-1 and D certify
 that the quotient is finite-dimensional and that the shared value is the
-exact colength, so stabilization is a proof, not a heuristic.  The
-driver doubles the cap each round, one elimination per round, and runs
-its last round at the ceiling itself.  Its report lists the whole
-Hilbert-Samuel function H(1..D) of that last round's cap D; past a
-stabilized D, H stays at the reported value.
+exact colength, so stabilization is a proof, not a heuristic: once
+H(d-1) = H(d), H is constant from d on (Nakayama).  The driver runs one
+elimination per round at caps counted down from the ceiling, the cap
+below a cap n being ceil(2n/3) (ceiling 64: 4, 5, 7, 10, 14, 20, 29, 43,
+64; a ceiling below 5 is the only round), and stops at the first
+round whose last two values agree.  So a plateau at d0 > 4 costs a last
+elimination at a cap of at most 3(d0 - 1)/2, where doubling could take
+one at 2(d0 - 1).  The report does not depend on where the rounds
+fall: its degree_cap is the least cap of the doubling schedule 4, 8,
+16, ..., ceiling at or past the first plateau d0 (the ceiling if there
+is none), and its per_degree is H(1..degree_cap), extended by the
+plateau value past the last round's cap.
 
 An ideal is the rank-1 case: its generators and a module's go through
 one row builder.  The linear algebra runs on integer rows (denominators
@@ -59,8 +66,11 @@ ORACLE_CEILING = 64
 
 @dataclass(frozen=True)
 class TruncationReport:
-    """Outcome of the doubling schedule: the cap of its last elimination,
-    and that elimination's dim O/(I + m^d) for every d up to the cap."""
+    """The Hilbert-Samuel function H(d) = dim O/(I + m^d) for d up to
+    degree_cap.  degree_cap is the least cap of the doubling schedule
+    (ORACLE_START_CAP, twice that, ..., the ceiling) at or past the first
+    plateau H(d-1) = H(d), or the ceiling on a give-up; it is not the cap
+    of the last elimination."""
 
     degree_cap: int
     per_degree: Tuple[Tuple[int, int], ...]  # (d, H(d)) for d = 1..degree_cap
@@ -172,17 +182,27 @@ def _gen_terms(gens):
 def _stabilize(rank: int, gen_terms, nvars: int, ceiling: int) -> TruncationReport:
     if ceiling < 2:
         raise ValueError("ceiling must be at least 2: stabilization compares two caps")
-    cap = min(ORACLE_START_CAP, ceiling)
-    while True:
+    rounds = [ceiling]
+    while rounds[-1] > ORACLE_START_CAP:
+        rounds.append((2 * rounds[-1] + 2) // 3)
+    for cap in reversed(rounds):
         dims = _hilbert_samuel(rank, gen_terms, nvars, cap)
-        stabilized = dims[cap - 1] == dims[cap]
-        if stabilized or cap == ceiling:
-            return TruncationReport(cap, tuple(enumerate(dims))[1:], stabilized, dims[cap])
-        cap = min(2 * cap, ceiling)
+        if dims[cap - 1] == dims[cap]:
+            break
+    else:
+        return TruncationReport(ceiling, tuple(enumerate(dims))[1:], False, dims[ceiling])
+    # the doubling schedule's report: its least cap at or past the first
+    # plateau, where H is constant from the plateau on
+    plateau = next(d for d in range(1, cap + 1) if dims[d - 1] == dims[d])
+    report_cap = min(ORACLE_START_CAP, ceiling)
+    while report_cap < plateau:
+        report_cap = min(2 * report_cap, ceiling)
+    dims += [dims[cap]] * (report_cap - cap)
+    return TruncationReport(report_cap, tuple(enumerate(dims[: report_cap + 1]))[1:], True, dims[cap])
 
 
 def stabilized_colength(ideal: Ideal, ceiling: int = ORACLE_CEILING) -> TruncationReport:
-    """Doubling cap schedule from ORACLE_START_CAP; stabilized=False is an
+    """Rounds two thirds apart up to the ceiling; stabilized=False is an
     honest give-up."""
     return _stabilize(1, _gen_terms((g,) for g in ideal.generators), ideal.ring.nvars, ceiling)
 

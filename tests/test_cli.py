@@ -233,7 +233,7 @@ def test_unreadable_manifest_names_the_file(tmp_path, capsys, content, reason):
     code, out, err = run_cli(capsys, "check", str(path))
     assert code == 1
     assert out == ""
-    assert err.startswith("error: manifest field '(file)': ") and reason in err
+    assert err.startswith("error: manifest file: ") and reason in err
     assert "Traceback" not in err
 
 
@@ -354,9 +354,9 @@ _ABSENT = object()  # a manifest path with no file behind it
 _TYPE_232 = {"type": [2, 3, 2], "N": 6}
 
 
-@pytest.mark.parametrize("argv, doc, field, message", [
-    pytest.param(["check"], _ABSENT, "(file)", "No such file", id="no-file"),
-    pytest.param(["check"], [1], "(file)", "top-level value must be an object", id="top-level-list"),
+@pytest.mark.parametrize("argv, doc, where, message", [
+    pytest.param(["check"], _ABSENT, "manifest file", "No such file", id="no-file"),
+    pytest.param(["check"], [1], "manifest file", "top-level value must be an object", id="top-level-list"),
     pytest.param(["check"], {"manifest": 3, "command": "check"}, "manifest",
                  "embedded manifest must be an object", id="embedded-manifest"),
     pytest.param(["check"], {"variables": []}, "variables", "must be a nonempty list of strings",
@@ -379,7 +379,7 @@ _TYPE_232 = {"type": [2, 3, 2], "N": 6}
                  "must list one coefficient per variable", id="form-short"),
     pytest.param(["colength"], {"ideal": ["x"]}, "variables", "required when an ideal is given",
                  id="ideal-without-variables"),
-    pytest.param(["minors", "--size", "5"], {"variables": SIX, "matrix": GENERIC_232, "t": 2}, "(--size)",
+    pytest.param(["minors", "--size", "5"], {"variables": SIX, "matrix": GENERIC_232, "t": 2}, "--size",
                  "minor size out of range", id="size-too-large"),
     pytest.param(["convert"], {"N": 6, "radial": [1, 3], "chi": [1, 4]}, "type",
                  "required when no matrix is given", id="type-missing"),
@@ -393,13 +393,18 @@ _TYPE_232 = {"type": [2, 3, 2], "N": 6}
                  id="chi-missing"),
     pytest.param(["convert"], dict(_TYPE_232, radial=[1, 3], chi=[1, 4], chi_sing="1"), "chi_sing",
                  "must be an integer", id="chi-sing-string"),
-    pytest.param(["tables", "--type", "2,x,2"], None, "(--type)", "expected m,n,t integers",
+    pytest.param(["tables", "--type", "2,x,2"], None, "--type", "expected m,n,t integers",
                  id="tables-type-not-integers"),
-    pytest.param(["tables", "--type", "3,2,2"], None, "(--type)", "need 1 <= t <= m <= n",
+    pytest.param(["tables", "--type", "3,2,2"], None, "--type", "need 1 <= t <= m <= n",
                  id="tables-type-order"),
-    pytest.param(["tables"], None, "(--type)", "required when no manifest is given", id="tables-no-input"),
+    pytest.param(["tables"], None, "--type", "required when no manifest is given", id="tables-no-input"),
+    pytest.param(["colength", "--oracle", "--degree-cap", "1"], {"variables": ["x"], "ideal": ["x"]}, "--degree-cap",
+                 "must be at least 2", id="degree-cap-one"),
 ])
-def test_each_validation_error_names_its_field(tmp_path, capsys, argv, doc, field, message):
+def test_each_validation_error_names_its_field(tmp_path, capsys, argv, doc, where, message):
+    # a manifest field by its name; the manifest file and the options as themselves
+    if where != "manifest file" and not where.startswith("--"):
+        where = "manifest field '%s'" % where
     argv = list(argv)
     if doc is _ABSENT:
         argv.insert(1, str(tmp_path / "absent.json"))
@@ -408,7 +413,7 @@ def test_each_validation_error_names_its_field(tmp_path, capsys, argv, doc, fiel
     code, out, err = run_cli(capsys, *argv)
     assert code == 1
     assert out == ""
-    assert err.startswith("error: manifest field '%s': " % field)
+    assert err.startswith("error: %s: " % where)
     assert message in err
     assert err.count("\n") == 1
 

@@ -26,7 +26,7 @@ def P(src, ring):
 
 
 def kernel_dims(rank, gens, nvars, cap):
-    """(d, H(d)) for d = 1..cap from one elimination at cap, outside the doubling schedule."""
+    """(d, H(d)) for d = 1..cap from one elimination at cap, outside the oracle's rounds."""
     dims = truncation._hilbert_samuel(rank, truncation._gen_terms(gens), nvars, cap)
     return tuple(enumerate(dims))[1:]
 
@@ -40,7 +40,7 @@ def module_dims(rank, gens, cap):
 
 
 def record_caps(monkeypatch):
-    """The caps the doubling schedule runs its eliminations at, in order."""
+    """The caps the oracle's rounds run their eliminations at, in order."""
     caps = []
     kernel = truncation._hilbert_samuel
 
@@ -184,10 +184,11 @@ def test_ceiling_below_two_is_rejected(ring_xy):
             stabilized_colength(I, ceiling=ceiling)
 
 
-def test_ceiling_off_the_doubling_schedule_is_tried(ring_xy, monkeypatch):
+def test_rounds_end_at_a_ceiling_off_the_doubling_schedule(ring_xy, monkeypatch):
     caps = record_caps(monkeypatch)
     I = Ideal([P("x^9", ring_xy), P("y", ring_xy)])  # H(d) = min(d, 9)
-    for ceiling, schedule, stabilized in ((10, [4, 8, 10], True), (12, [4, 8, 12], True), (9, [4, 8, 9], False)):
+    for ceiling, schedule, stabilized in ((10, [4, 5, 7, 10], True), (12, [4, 6, 8, 12], True),
+                                          (9, [4, 6, 9], False)):
         caps.clear()
         report = stabilized_colength(I, ceiling=ceiling)
         assert caps == schedule
@@ -196,10 +197,10 @@ def test_ceiling_off_the_doubling_schedule_is_tried(ring_xy, monkeypatch):
         assert report.value == 9
 
 
-def test_ceilings_on_the_doubling_schedule_keep_it(ring_xy, monkeypatch):
+def test_rounds_below_a_ceiling_on_the_doubling_schedule(ring_xy, monkeypatch):
     caps = record_caps(monkeypatch)
     I = Ideal([P("x*y", ring_xy)])  # H(d) = 2d - 1
-    for ceiling, schedule in ((8, [4, 8]), (64, [4, 8, 16, 32, 64])):
+    for ceiling, schedule in ((8, [4, 6, 8]), (64, [4, 5, 7, 10, 14, 20, 29, 43, 64])):
         caps.clear()
         report = stabilized_colength(I, ceiling=ceiling)
         assert caps == schedule
@@ -207,35 +208,94 @@ def test_ceilings_on_the_doubling_schedule_keep_it(ring_xy, monkeypatch):
         assert not report.stabilized and report.degree_cap == ceiling
 
 
+def _random_presentation(rng, trial):
+    """(ring, rank, generators as component lists): an ideal for trial < 8,
+    a rank-2 module after; in 2 or 3 variables; often with pure powers."""
+    ring = RingContext(("x", "y", "z")[: 2 + trial % 2])
+    rank = 1 + trial // 8
+    gens = []
+    for _ in range(rng.randint(1, 3)):
+        gens.append([random_poly(ring, rng, max_terms=3, allow_constant=False) for _ in range(rank)])
+    if rng.random() < 0.6:  # pure powers make the colength finite
+        k = rng.randint(2, 4)
+        gens += [[ring.variable(i) ** k if c == comp else ring.zero_poly() for c in range(rank)]
+                 for i in range(ring.nvars) for comp in range(rank)]
+    return ring, rank, [g for g in gens if any(g)]
+
+
+def _oracle_report(ring, rank, gens, ceiling):
+    if rank == 1:
+        return stabilized_colength(Ideal([g for g, in gens]), ceiling=ceiling)
+    return stabilized_module_colength(rank, [FreeModuleElement(rank, g) for g in gens], ceiling=ceiling)
+
+
 def test_report_is_the_hilbert_samuel_function_of_its_last_cap():
-    # per_degree is H(1..degree_cap) of the last elimination, and H stays at
-    # the value past a stabilized degree_cap: so a report at ceiling D gives
+    # per_degree is H(1..degree_cap), and H stays at the value past a
+    # stabilized degree_cap: so a report at ceiling D gives
     # H(1..D), whether it stopped early or not
     rng = rng_for("hilbert-samuel")
     stopped_early = gave_up = 0
     for cap in (2, 3, 5, 8, 11):
         for trial in range(16):
-            ring = RingContext(("x", "y", "z")[: 2 + trial % 2])
-            rank = 1 + trial // 8
-            gens = []
-            for _ in range(rng.randint(1, 3)):
-                gens.append([random_poly(ring, rng, max_terms=3, allow_constant=False) for _ in range(rank)])
-            if rng.random() < 0.6:  # pure powers make the colength finite
-                k = rng.randint(2, 4)
-                gens += [[ring.variable(i) ** k if c == comp else ring.zero_poly() for c in range(rank)]
-                         for i in range(ring.nvars) for comp in range(rank)]
-            gens = [g for g in gens if any(g)]
+            ring, rank, gens = _random_presentation(rng, trial)
             if not gens:
                 continue
-            if rank == 1:
-                report = stabilized_colength(Ideal([g for g, in gens]), ceiling=cap)
-            else:
-                report = stabilized_module_colength(rank, [FreeModuleElement(rank, g) for g in gens], ceiling=cap)
+            report = _oracle_report(ring, rank, gens, cap)
             assert report.per_degree == kernel_dims(rank, gens, ring.nvars, report.degree_cap)
             assert oracle_dims(report, cap) == kernel_dims(rank, gens, ring.nvars, cap)
             stopped_early += report.stabilized and report.degree_cap < cap
             gave_up += not report.stabilized
     assert stopped_early >= 10 and gave_up >= 10
+
+
+def _doubling_report(rank, gens, nvars, ceiling):
+    """The report of the doubling schedule ORACLE_START_CAP, twice that,
+    ..., the ceiling, stopping at the first cap D with H(D-1) = H(D)."""
+    gen_terms = truncation._gen_terms(gens)
+    cap = min(truncation.ORACLE_START_CAP, ceiling)
+    while True:
+        dims = truncation._hilbert_samuel(rank, gen_terms, nvars, cap)
+        stabilized = dims[cap - 1] == dims[cap]
+        if stabilized or cap == ceiling:
+            return truncation.TruncationReport(cap, tuple(enumerate(dims))[1:], stabilized, dims[cap])
+        cap = min(2 * cap, ceiling)
+
+
+def test_rounds_report_what_the_doubling_schedule_reports(monkeypatch):
+    # the rounds only decide where the eliminations run: every report is
+    # the doubling schedule's, also where the last round stops below the
+    # reported degree_cap and per_degree is extended past it
+    rng = rng_for("hilbert-samuel")
+    last_round_below = gave_up = 0
+    for ceiling in (2, 3, 5, 8, 11, 16):
+        for trial in range(16):
+            ring, rank, gens = _random_presentation(rng, trial)
+            if not gens:
+                continue
+            caps = record_caps(monkeypatch)
+            report = _oracle_report(ring, rank, gens, ceiling)
+            monkeypatch.undo()
+            assert report == _doubling_report(rank, gens, ring.nvars, ceiling)
+            last_round_below += caps[-1] < report.degree_cap
+            gave_up += not report.stabilized
+    assert last_round_below >= 5 and gave_up >= 10
+
+
+def test_rounds_stop_at_the_plateau(ring_xy, monkeypatch):
+    caps = record_caps(monkeypatch)
+    I = Ideal([P("x^9", ring_xy), P("y", ring_xy)])  # H(d) = min(d, 9): plateau at 10
+    report = stabilized_colength(I, ceiling=64)
+    assert caps == [4, 5, 7, 10]
+    assert report.degree_cap == 16
+    assert report.per_degree == tuple((d, min(d, 9)) for d in range(1, 17))
+    assert report.stabilized and report.value == 9
+    # a plateau at 8 ends the rounds at 10, past the reported degree_cap 8
+    caps.clear()
+    J = Ideal([P("x^7", ring_xy), P("y", ring_xy)])
+    report = stabilized_colength(J, ceiling=64)
+    assert caps == [4, 5, 7, 10]
+    assert report.per_degree == tuple((d, min(d, 7)) for d in range(1, 9))
+    assert report == _doubling_report(1, [(P("x^7", ring_xy),), (P("y", ring_xy),)], 2, 64)
 
 
 def test_module_oracle_checks_rank(ring_xy):
