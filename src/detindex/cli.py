@@ -457,7 +457,7 @@ def build_parser() -> argparse.ArgumentParser:
         cmd.add_argument("manifest", nargs="?" if name == "tables" else None, help="path to a JSON manifest (or an emitted report)")
         if is_colength:
             cmd.add_argument("--oracle", action="store_true", help="re-derive the value by truncated linear algebra and assert agreement")
-            cmd.add_argument("--degree-cap", type=int, default=ORACLE_CEILING, help="hard cap for the oracle's truncation degree")
+            cmd.add_argument("--degree-cap", type=int, default=ORACLE_CEILING, help="hard cap for the oracle's truncation degree; a give-up runs every round up to it")
         cmd.add_argument("--output", help="write the report to this path instead of stdout")
         if name == "minors":
             cmd.add_argument("--size", type=int, default=None, help="minor size (default: the rank bound t)")

@@ -289,7 +289,8 @@ def test_rounds_stop_at_the_plateau(ring_xy, monkeypatch):
     assert report.degree_cap == 16
     assert report.per_degree == tuple((d, min(d, 9)) for d in range(1, 17))
     assert report.stabilized and report.value == 9
-    # a plateau at 8 ends the rounds at 10, past the reported degree_cap 8
+    # a plateau at 8 ends the rounds at 10, past the reported degree_cap 8,
+    # where the doubling schedule stopped at 8 after two eliminations
     caps.clear()
     J = Ideal([P("x^7", ring_xy), P("y", ring_xy)])
     report = stabilized_colength(J, ceiling=64)
