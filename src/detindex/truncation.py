@@ -13,16 +13,32 @@ at cap D gives dim O/(I + m^d) for every d <= D (the Hilbert-Samuel
 function of the quotient).
 
 Each row is walked once, column by column upward, from a heap of its
-column numbers: a column with a pivot is cleared by subtracting that
+column keys: a column with a pivot is cleared by subtracting that
 pivot row, which only adds columns above it (a pivot row has no column
 below its pivot), and these are pushed as they appear.  The first column
 without a pivot is the row's lead; the walk goes on past it and clears
 every later column that has a pivot, so a row is stored tail-reduced
 against the pivots before it (stored pivots are not revisited).  Which
 columns become pivots depends only on the row space, not on how the rows
-are reduced.  Columns are keyed by packed ints: a monomial of degree
-< D has every exponent < D, so sum m_i * D^i packs it with no carry, and
-multiplying monomials is adding their codes.
+are reduced.  A column is its own key, a packed int with no table
+behind it: a monomial of degree < D has every exponent < D, so
+code(m) = sum m_i * D^i packs it with no carry, and the key
+deg * rank * D^n + comp * D^n + code orders the columns by degree, then
+component, then code.  Multiplying a row by a monomial adds a constant
+to each of its keys.
+
+Rows that the row space already holds are not built.  The rows enter
+generator by generator, and a generator's rows by multiplier in the
+order of monomials_up_to (by degree, then lex), which is a monomial
+order: x_i * a comes before x_i * b whenever a comes before b.  The
+cut of x_i times a cut row m*g is the row x_i*m*g of the same generator
+(or zero, when that row is left out for having no term below D), and
+the rows before m*g, times x_i, are rows before x_i*m*g or zero.  So
+when m*g lies in the span of the rows before it, so does x_i*m*g: it
+would reduce to zero and add no pivot.  A generator's row for m is
+skipped when m/x_i was dependent (reduced to zero or was skipped) for
+some x_i dividing m.  The pivots are those of the elimination of every
+row, entry for entry.
 
 Because the associated graded module of a quotient is generated in
 degree zero, two equal consecutive values dim at caps D-1 and D certify
@@ -92,78 +108,93 @@ def _hilbert_samuel(rank: int, gen_terms, nvars: int, cap: int) -> List[int]:
     """
     # A monomial of degree < cap has every exponent < cap, so it packs
     # with no carry into code(m) = sum m_i * cap^i, and code(m) + code(n)
-    # is code(mn) whenever mn has degree < cap; comp * cap^nvars on top
-    # keeps the components apart.  Code order is revlex order.
+    # is code(mn) whenever mn has degree < cap.  A column's key is
+    # deg * rank * cap^nvars + comp * cap^nvars + code: ascending keys run
+    # degree by degree, then component, then code, and the multiplier m
+    # shifts a key by deg(m) * rank * cap^nvars + code(m).
     weights = [cap**i for i in range(nvars)]
     monos = [(sum(m), sum(map(mul, m, weights))) for m in monomials_up_to(nvars, cap - 1)]
     base = cap**nvars
-    keys = sorted((deg, comp * base + code) for comp in range(rank) for deg, code in monos)
-    column = {key: col for col, (_, key) in enumerate(keys)}
+    step = rank * base
 
-    pivots = {}  # column -> (lead coefficient > 0, [(column, coefficient)] of the tail)
+    pivots = {}  # column key -> (lead coefficient > 0, [(key, coefficient)] of the tail)
     for gen in gen_terms:
         terms = [
-            (sum(m), comp * base + sum(map(mul, m, weights)), c)
+            (sum(m), sum(m) * step + comp * base + sum(map(mul, m, weights)), c)
             for (comp, m), c in gen
             if sum(m) < cap
         ]
         if not terms:
             continue  # no term below the cap: every row is zero
-        mindeg = min(deg for deg, _, _ in terms)
-        # monos runs degree by degree: the multipliers of degree <= cap-1-mindeg
-        for mdeg, mcode in monos[: comb(cap - 1 - mindeg + nvars, nvars)]:
-            room = cap - mdeg
-            row = {column[code + mcode]: c for deg, code, c in terms if deg < room}
-            # Walk the row's columns upward.  A pivot row has no column
-            # below its pivot, so clearing a column only adds later ones.
-            get = row.get
-            heap = sorted(row)
-            lead = None
-            while heap:
-                col = heappop(heap)
-                c = get(col)
-                if c is None:
-                    continue  # cancelled, or cleared and popped again
-                pivot = pivots.get(col)
-                if pivot is None:
-                    if lead is None:
-                        lead = col
-                    continue
-                pc, tail = pivot
-                del row[col]
-                if pc == 1:
-                    b = c
-                else:
-                    g = gcd(c, pc)
-                    a, b = pc // g, c // g
-                    if a != 1:
-                        for k in row:
-                            row[k] *= a
-                for k, v in tail:
-                    s = get(k)
-                    if s is None:
-                        row[k] = -b * v
-                        heappush(heap, k)
-                    else:
-                        s -= b * v
-                        if s:
-                            row[k] = s
-                        else:
-                            del row[k]
-            if lead is None:
-                continue  # reduced to zero: dependent row, nothing to record
-            # Stored tail-reduced and primitive with a positive lead.
-            content = gcd(*row.values())
-            if row[lead] < 0:
-                content = -content
-            pivots[lead] = (row.pop(lead) // content, [(k, v // content) for k, v in row.items()])
+        top = cap - 1 - min(deg for deg, _, _ in terms)  # the multipliers' top degree
+        dependent = set()  # codes of the multipliers whose row was dependent
+        # monos runs degree by degree: the multipliers of degree <= top
+        for mdeg, mcode in monos[: comb(top + nvars, nvars)]:
+            for w in weights:
+                # m/x_i dependent, where m_i >= 1: without the digit test
+                # mcode - w could borrow into another monomial
+                if mcode - w in dependent and mcode // w % cap:
+                    dependent.add(mcode)
+                    break
+            else:
+                shift = mdeg * step + mcode
+                if not _add_row({key + shift: c for deg, key, c in terms if deg < cap - mdeg}, pivots):
+                    dependent.add(mcode)
 
-    free = [0] * cap  # free[e]: columns minus pivots of degree e
-    for deg, _ in keys:
-        free[deg] += 1
-    for col in pivots:
-        free[keys[col][0]] -= 1
+    # free[e]: the rank * C(e+nvars-1, nvars-1) columns of degree e minus its pivots
+    free = [rank * comb(e + nvars - 1, nvars - 1) for e in range(cap)]
+    for key in pivots:
+        free[key // step] -= 1
     return list(accumulate(free, initial=0))
+
+
+def _add_row(row: dict, pivots: dict) -> bool:
+    """Reduce row {key: coefficient} against the pivots and store it as
+    the pivot at its lead; False when it reduces to zero."""
+    # Walk the row's columns upward.  A pivot row has no column below
+    # its pivot, so clearing a column only adds later ones.
+    get = row.get
+    heap = sorted(row)
+    lead = None
+    while heap:
+        col = heappop(heap)
+        c = get(col)
+        if c is None:
+            continue  # cancelled, or cleared and popped again
+        pivot = pivots.get(col)
+        if pivot is None:
+            if lead is None:
+                lead = col
+            continue
+        pc, tail = pivot
+        del row[col]
+        if pc == 1:
+            b = c
+        else:
+            g = gcd(c, pc)
+            a, b = pc // g, c // g
+            if a != 1:
+                for k in row:
+                    row[k] *= a
+        for k, v in tail:
+            s = get(k)
+            if s is None:
+                row[k] = -b * v
+                heappush(heap, k)
+            else:
+                s -= b * v
+                if s:
+                    row[k] = s
+                else:
+                    del row[k]
+    if lead is None:
+        return False
+    # Stored tail-reduced and primitive with a positive lead.
+    content = gcd(*row.values())
+    if row[lead] < 0:
+        content = -content
+    pivots[lead] = (row.pop(lead) // content, [(k, v // content) for k, v in row.items()])
+    return True
 
 
 def _gen_terms(gens):

@@ -1,5 +1,10 @@
 import copy
 import pickle
+import random
+from heapq import heappop, heappush
+from itertools import accumulate
+from math import comb, gcd
+from operator import mul
 
 import pytest
 
@@ -297,6 +302,137 @@ def test_rounds_stop_at_the_plateau(ring_xy, monkeypatch):
     assert caps == [4, 5, 7, 10]
     assert report.per_degree == tuple((d, min(d, 7)) for d in range(1, 9))
     assert report == _doubling_report(1, [(P("x^7", ring_xy),), (P("y", ring_xy),)], 2, 64)
+
+
+def _unskipped_hilbert_samuel(rank, gen_terms, nvars, cap):
+    """The elimination with no row skipped: every row of every generator
+    is built and reduced, and columns are numbered through a table of
+    the sorted (degree, component * cap^nvars + code) keys."""
+    weights = [cap**i for i in range(nvars)]
+    monos = [(sum(m), sum(map(mul, m, weights))) for m in monomials_up_to(nvars, cap - 1)]
+    base = cap**nvars
+    keys = sorted((deg, comp * base + code) for comp in range(rank) for deg, code in monos)
+    column = {key: col for col, (_, key) in enumerate(keys)}
+    pivots = {}
+    for gen in gen_terms:
+        terms = [
+            (sum(m), comp * base + sum(map(mul, m, weights)), c)
+            for (comp, m), c in gen
+            if sum(m) < cap
+        ]
+        if not terms:
+            continue
+        mindeg = min(deg for deg, _, _ in terms)
+        for mdeg, mcode in monos[: comb(cap - 1 - mindeg + nvars, nvars)]:
+            row = {column[code + mcode]: c for deg, code, c in terms if deg < cap - mdeg}
+            heap = sorted(row)
+            lead = None
+            while heap:
+                col = heappop(heap)
+                c = row.get(col)
+                if c is None:
+                    continue
+                pivot = pivots.get(col)
+                if pivot is None:
+                    if lead is None:
+                        lead = col
+                    continue
+                pc, tail = pivot
+                del row[col]
+                g = gcd(c, pc)
+                a, b = pc // g, c // g
+                for k in row:
+                    row[k] *= a
+                for k, v in tail:
+                    s = row.get(k)
+                    if s is None:
+                        row[k] = -b * v
+                        heappush(heap, k)
+                    elif s - b * v:
+                        row[k] = s - b * v
+                    else:
+                        del row[k]
+            if lead is None:
+                continue
+            content = gcd(*row.values()) if row[lead] > 0 else -gcd(*row.values())
+            pivots[lead] = (row.pop(lead) // content, [(k, v // content) for k, v in row.items()])
+    free = [0] * cap
+    for deg, _ in keys:
+        free[deg] += 1
+    for col in pivots:
+        free[keys[col][0]] -= 1
+    return list(accumulate(free, initial=0))
+
+
+def _random_gen_terms(rng, rank, nvars):
+    """Integer generators of a submodule of O^rank: a few random ones,
+    some combinations of them with monomial factors (rows that reduce
+    to zero), and often pure powers in every component."""
+    def term():
+        return (rng.randrange(rank), tuple(rng.randint(0, 3) for _ in range(nvars))), rng.randint(-4, 4) or 1
+
+    gens = [dict(term() for _ in range(rng.randint(1, 4))) for _ in range(rng.randint(1, 3))]
+    for _ in range(rng.randint(0, 2)):
+        combo = {}
+        for gen in rng.sample(gens, min(2, len(gens))):
+            shift, scale = tuple(rng.randint(0, 1) for _ in range(nvars)), rng.randint(-3, 3) or 1
+            for (comp, m), c in gen.items():
+                key = (comp, tuple(map(sum, zip(m, shift))))
+                combo[key] = combo.get(key, 0) + scale * c
+        gens.append({key: c for key, c in combo.items() if c})
+    if rng.random() < 0.5:
+        k = rng.randint(1, 4)
+        gens += [{(comp, tuple(k * (j == i) for j in range(nvars))): 1} for i in range(nvars) for comp in range(rank)]
+    return [tuple(gen.items()) for gen in gens if gen]
+
+
+def test_skipping_dependent_rows_keeps_every_dimension():
+    # a multiple of a dependent row is dependent, so the skipped rows are
+    # rows that would have reduced to zero: H must not move
+    rng = random.Random("skip dependent rows")
+    for trial in range(2400):
+        rank, nvars, cap = 1 + trial % 3, 1 + trial // 3 % 4, 2 + trial // 12 % 7
+        gen_terms = _random_gen_terms(rng, rank, nvars)
+        expected = _unskipped_hilbert_samuel(rank, gen_terms, nvars, cap)
+        assert truncation._hilbert_samuel(rank, gen_terms, nvars, cap) == expected, (rank, nvars, cap, gen_terms)
+
+
+def test_multiples_of_a_dependent_row_are_not_built(ring_xy, monkeypatch):
+    # (x, y) at cap 8: the 28 rows x*m are independent; of y's rows only
+    # y*x reduces to zero, and every later multiplier divisible by x is
+    # skipped, so 7 rows y^(k+1) remain: 28 + 8 rows are built, not 56
+    built = []
+    add_row = truncation._add_row
+
+    def counting(row, pivots):
+        built.append(add_row(row, pivots))
+        return built[-1]
+
+    monkeypatch.setattr(truncation, "_add_row", counting)
+    assert ideal_dims(Ideal([P("x", ring_xy), P("y", ring_xy)]), 8) == tuple((d, 1) for d in range(1, 9))
+    assert len(built) == 36 and built.count(False) == 1
+    # (x, xy): the row xy reduces to zero, so every multiplier of degree 1
+    # has a dependent divisor, and the generator's rows end there
+    built.clear()
+    ideal_dims(Ideal([P("x", ring_xy), P("x*y", ring_xy)]), 8)
+    assert len(built) == 28 + 1 and built.count(False) == 1
+
+
+def test_monomial_order_is_multiplicative():
+    # the rows of a generator are built in this order, and skipping the
+    # multiples of a dependent row is exact only because x_i*a comes
+    # before x_i*b whenever a comes before b
+    for nvars in range(1, 5):
+        position = {m: k for k, m in enumerate(monomials_up_to(nvars, 7))}
+        for deg in range(7):
+            same = [m for m in position if sum(m) == deg]
+            for a in same:
+                for b in same:
+                    if position[a] < position[b]:
+                        for i in range(nvars):
+                            xa = tuple(e + (j == i) for j, e in enumerate(a))
+                            xb = tuple(e + (j == i) for j, e in enumerate(b))
+                            assert position[xa] < position[xb]
 
 
 def test_module_oracle_checks_rank(ring_xy):
