@@ -13,19 +13,20 @@ at cap D gives dim O/(I + m^d) for every d <= D (the Hilbert-Samuel
 function of the quotient).
 
 Each row is walked once, column by column upward, from a heap of its
-column keys: a column with a pivot is cleared by subtracting that
-pivot row, which only adds columns above it (a pivot row has no column
-below its pivot), and these are pushed as they appear.  The first column
-without a pivot is the row's lead; the walk goes on past it and clears
-every later column that has a pivot, so a row is stored tail-reduced
-against the pivots before it (stored pivots are not revisited).  Which
-columns become pivots depends only on the row space, not on how the rows
-are reduced.  A column is its own key, a packed int with no table
-behind it: a monomial of degree < D has every exponent < D, so
-code(m) = sum m_i * D^i packs it with no carry, and the key
-deg * rank * D^n + comp * D^n + code orders the columns by degree, then
-component, then code.  Multiplying a row by a monomial adds a constant
-to each of its keys.
+column keys: a column with a pivot is cleared by subtracting a multiple
+of the whole pivot row, whose lead cancels the row's entry there and
+whose other columns lie above it (a pivot row has no column below its
+pivot); these are pushed as they appear.  The first column without a
+pivot is the row's lead; the walk goes on past it and clears every later
+column that has a pivot, so a row is stored tail-reduced against the
+pivots before it (stored pivots are not revisited): a pivot is that row
+itself, made primitive (content 1, positive lead).  Which columns become
+pivots depends only on the row space, not on how rows reduce.  A column
+is its own key, a packed int with no table behind it: a monomial of
+degree < D has every exponent < D, so code(m) = sum m_i * D^i packs it
+with no carry, and the key deg * rank * D^n + comp * D^n + code orders
+the columns by degree, then component, then code.  Multiplying a row by
+a monomial adds a constant to each of its keys.
 
 Rows that the row space already holds are not built.  The rows enter
 generator by generator, and a generator's rows by multiplier in the
@@ -117,7 +118,7 @@ def _hilbert_samuel(rank: int, gen_terms, nvars: int, cap: int) -> List[int]:
     base = cap**nvars
     step = rank * base
 
-    pivots = {}  # column key -> (lead coefficient > 0, [(key, coefficient)] of the tail)
+    pivots = {}  # column key -> its primitive row {key: coefficient}, lead > 0
     for gen in gen_terms:
         terms = [
             (sum(m), sum(m) * step + comp * base + sum(map(mul, m, weights)), c)
@@ -149,8 +150,8 @@ def _hilbert_samuel(rank: int, gen_terms, nvars: int, cap: int) -> List[int]:
 
 
 def _add_row(row: dict, pivots: dict) -> bool:
-    """Reduce row {key: coefficient} against the pivots and store it as
-    the pivot at its lead; False when it reduces to zero."""
+    """Reduce row {key: coefficient} against the pivots and store it, made
+    primitive, as the pivot at its lead; False when it reduces to zero."""
     # Walk the row's columns upward.  A pivot row has no column below
     # its pivot, so clearing a column only adds later ones.
     get = row.get
@@ -166,8 +167,7 @@ def _add_row(row: dict, pivots: dict) -> bool:
             if lead is None:
                 lead = col
             continue
-        pc, tail = pivot
-        del row[col]
+        pc = pivot[col]
         if pc == 1:
             b = c
         else:
@@ -176,7 +176,7 @@ def _add_row(row: dict, pivots: dict) -> bool:
             if a != 1:
                 for k in row:
                     row[k] *= a
-        for k, v in tail:
+        for k, v in pivot.items():  # col too: a*c - b*pc = 0 deletes it
             s = get(k)
             if s is None:
                 row[k] = -b * v
@@ -189,11 +189,11 @@ def _add_row(row: dict, pivots: dict) -> bool:
                     del row[k]
     if lead is None:
         return False
-    # Stored tail-reduced and primitive with a positive lead.
+    # Tail-reduced; kept as is when already primitive with a positive lead.
     content = gcd(*row.values())
     if row[lead] < 0:
         content = -content
-    pivots[lead] = (row.pop(lead) // content, [(k, v // content) for k, v in row.items()])
+    pivots[lead] = row if content == 1 else {k: v // content for k, v in row.items()}
     return True
 
 

@@ -46,7 +46,9 @@ def random_poly(ring, rng, max_terms=5, max_deg=3, allow_constant=True):
 
 
 def rng_for(name, seed=0):
-    return random.Random(hash((name, seed)) & 0xFFFFFFFF)
+    """A generator seeded from a string, so every process draws the same
+    values (a str hash changes with PYTHONHASHSEED)."""
+    return random.Random(f"{name}:{seed}")
 
 
 def chi_bar_sum(m, t):

@@ -1,6 +1,7 @@
 import copy
 import pickle
 import random
+from fractions import Fraction
 from heapq import heappop, heappush
 from itertools import accumulate
 from math import comb, gcd
@@ -23,7 +24,7 @@ from detindex import (
 )
 from detindex import truncation
 
-from conftest import chi_bar_sum, oracle_dims, random_poly, rng_for, truncated_dims
+from conftest import _rank, chi_bar_sum, oracle_dims, random_poly, rng_for, truncated_dims
 
 
 def P(src, ring):
@@ -416,6 +417,40 @@ def test_multiples_of_a_dependent_row_are_not_built(ring_xy, monkeypatch):
     built.clear()
     ideal_dims(Ideal([P("x", ring_xy), P("x*y", ring_xy)]), 8)
     assert len(built) == 28 + 1 and built.count(False) == 1
+
+
+def test_a_pivot_is_its_reduced_row_made_primitive():
+    # one dict per pivot: the reduced row itself, led by its column with a
+    # positive coefficient, content 1, and no column of an earlier pivot
+    rng = random.Random("pivot rows")
+    for trial in range(400):
+        ncols = rng.randint(1, 12)
+        pivots, rows = {}, []
+        for _ in range(rng.randint(1, 10)):
+            scale = rng.choice((1, 1, 2, 3))  # some rows are not primitive
+            row = {k: scale * c for k in rng.sample(range(ncols), rng.randint(1, ncols)) if (c := rng.randint(-6, 6))}
+            if row:
+                rows.append([Fraction(row.get(k, 0)) for k in range(ncols)])
+                if truncation._add_row(row, pivots) and gcd(*row.values()) == 1 and row[min(row)] > 0:
+                    assert pivots[min(row)] is row  # already primitive: stored with no copy
+        earlier = set()
+        for col, pivot in pivots.items():
+            assert type(pivot) is dict and min(pivot) == col
+            assert pivot[col] > 0 and gcd(*pivot.values()) == 1
+            assert not earlier & pivot.keys(), (trial, col, pivot)
+            earlier.add(col)
+        assert len(pivots) == _rank(rows)
+        # a combination of the pivots reduces to zero and stores nothing
+        before = copy.deepcopy(pivots)
+        combo = {}
+        for pivot in pivots.values():
+            scale = rng.randint(-3, 3)
+            for k, v in pivot.items():
+                combo[k] = combo.get(k, 0) + scale * v
+        combo = {k: c for k, c in combo.items() if c}
+        if combo:
+            assert truncation._add_row(combo, pivots) is False
+            assert pivots == before
 
 
 def test_monomial_order_is_multiplicative():
