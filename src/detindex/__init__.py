@@ -32,7 +32,6 @@ from .determinantal import (
     chi_singular_stratum,
     classify,
     minors,
-    minors_indexed,
     stratum_dim,
     stratum_ideal,
 )
@@ -49,7 +48,6 @@ from .conversions import (
     smoothable_index,
 )
 from .form_indices import (
-    DifferentialFormPresentation,
     algebra_ideal,
     algebra_index,
     gmvs_ideal,
@@ -76,7 +74,6 @@ __all__ = [
     "ORACLE_START_CAP",
     "CoeffMatrices",
     "DetSingularity",
-    "DifferentialFormPresentation",
     "FreeModuleElement",
     "Ideal",
     "OneForm",
@@ -101,7 +98,6 @@ __all__ = [
     "icis_index",
     "isolated_indices",
     "minors",
-    "minors_indexed",
     "module_colength",
     "module_standard_basis",
     "monomials_up_to",

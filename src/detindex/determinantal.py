@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from itertools import combinations
 from typing import List, Optional, Sequence, Tuple
 
-from .rings import Poly, RingContext
+from .rings import Poly, RingContext, _add_term
 from .standard_bases import INFINITE, Ideal, colength
 
 
@@ -46,12 +46,8 @@ class OneForm:
 
     @classmethod
     def coordinate(cls, ring: RingContext, index) -> "OneForm":
-        """dx_index."""
-        if isinstance(index, str):
-            index = ring.variable_index(index)
-        coeffs = [ring.zero_poly() for _ in range(ring.nvars)]
-        coeffs[index] = ring.one_poly()
-        return cls(coeffs)
+        """dx_index, the variable given by position or by name."""
+        return cls.differential(ring.variable(index))
 
 
 def _det(matrix: Sequence[Sequence[Poly]], rows: Tuple[int, ...], cols: Tuple[int, ...]) -> Poly:
@@ -59,39 +55,26 @@ def _det(matrix: Sequence[Sequence[Poly]], rows: Tuple[int, ...], cols: Tuple[in
         return matrix[rows[0]][cols[0]]
     r0 = rows[0]
     rest = rows[1:]
-    total = None
+    terms: dict = {}  # Laplace expansion along row r0, summed in place from zero
     for k, c in enumerate(cols):
         entry = matrix[r0][c]
         if not entry:
             continue
-        sub = _det(matrix, rest, cols[:k] + cols[k + 1:])
-        term = entry * sub
-        if k % 2:
-            term = -term
-        total = term if total is None else total + term
-    if total is None:
-        return matrix[0][0].ring.zero_poly()
-    return total
+        term = entry * _det(matrix, rest, cols[:k] + cols[k + 1:])
+        for m, v in term.terms.items():
+            _add_term(terms, m, -v if k % 2 else v)
+    return Poly(matrix[r0][cols[0]].ring, terms)
 
 
-def minors_indexed(
-    matrix: Sequence[Sequence[Poly]], size: int
-) -> List[Tuple[Tuple[Tuple[int, ...], Tuple[int, ...]], Poly]]:
-    """All size x size minors with their (row set, column set), in
-    lexicographic (I, J) order."""
+def minors(matrix: Sequence[Sequence[Poly]], size: int) -> List[Poly]:
+    """All size x size minors, in lexicographic (row set, column set)
+    order."""
     nrows = len(matrix)
     ncols = len(matrix[0]) if nrows else 0
     if not 1 <= size <= min(nrows, ncols):
         raise ValueError("minor size out of range")
-    out = []
-    for I in combinations(range(nrows), size):
-        for J in combinations(range(ncols), size):
-            out.append(((I, J), _det(matrix, I, J)))
-    return out
-
-
-def minors(matrix: Sequence[Sequence[Poly]], size: int) -> List[Poly]:
-    return [p for _, p in minors_indexed(matrix, size)]
+    return [_det(matrix, I, J) for I in combinations(range(nrows), size)
+            for J in combinations(range(ncols), size)]
 
 
 @dataclass(frozen=True)

@@ -1,6 +1,6 @@
 """Algebraic indices of a holomorphic 1-form with an isolated zero.
 
-Three colength-style indices are computed from explicit ideals or module
+Colength-style indices are computed from explicit ideals or module
 presentations:
 
 * the minors-algebra dimension for a determinantal singularity (and its
@@ -9,8 +9,8 @@ presentations:
   rows are the gradients of the equations and the form's coefficients;
 
 * the dimension of the top differential forms of the germ modulo wedging
-  with the form, presented by generators over the ambient free module of
-  alternating forms.
+  with the form, presented by `omega_quotient_generators` over the free
+  module of ambient alternating forms of the germ's dimension.
 
 An infinite colength is the operational signal that the zero of the form
 is not isolated on the germ (or the germ is not what the formula assumes);
@@ -19,12 +19,12 @@ callers receive INFINITE rather than an error.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from bisect import bisect_left
 from itertools import combinations
 from typing import List, Sequence, Tuple
 
 from .determinantal import DetSingularity, OneForm, minors
-from .rings import Poly, RingContext
+from .rings import Poly
 from .standard_bases import FreeModuleElement, Ideal, colength, module_colength
 
 
@@ -86,84 +86,44 @@ def gmvs_index(sing: DetSingularity, form: OneForm):
     return colength(gmvs_ideal(sing, form))
 
 
-@dataclass(frozen=True)
-class DifferentialFormPresentation:
-    """Degree-p differential forms of the germ, as a quotient of the free
-    module with basis indexed by sorted p-subsets of the variables.
-
-    Relation generators are equation multiples of each basis form and
-    wedges of the equations' differentials with each basis (p-1)-form.
-    Sign convention: dx_j wedged onto the sorted (p-1)-subset K lands on
-    the sorted union with sign (-1)^(number of elements of K below j).
-    """
-
-    ring: RingContext
-    degree: int
-    basis: Tuple[Tuple[int, ...], ...]
-    relations: Tuple[FreeModuleElement, ...]
-
-    @property
-    def rank(self) -> int:
-        return len(self.basis)
-
-    @classmethod
-    def build(cls, ring: RingContext, equations: Sequence[Poly], degree: int) -> "DifferentialFormPresentation":
-        if not 0 <= degree <= ring.nvars:
-            raise ValueError("form degree out of range")
-        basis = tuple(combinations(range(ring.nvars), degree))
-        index = {J: pos for pos, J in enumerate(basis)}
-        rank = len(basis)
-        zero = ring.zero_poly()
-        relations: List[FreeModuleElement] = []
-        for g in equations:
-            if g.ring != ring:
-                raise ValueError("equation from a different ring")
-            for J in basis:
-                comps = [zero] * rank
-                comps[index[J]] = g
-                relations.append(FreeModuleElement(rank, comps))
-        if degree >= 1:
-            for g in equations:
-                dg = [g.partial_derivative(i) for i in range(ring.nvars)]
-                for K in combinations(range(ring.nvars), degree - 1):
-                    relations.append(_wedge(ring, dg, K, basis, index))
-        return cls(ring, degree, basis, tuple(relations))
-
-    def wedge_generators(self, form: OneForm) -> List[FreeModuleElement]:
-        """The form wedged with every basis (degree-1)-form."""
-        if self.degree < 1:
-            raise ValueError("cannot wedge into degree-0 forms")
-        index = {J: pos for pos, J in enumerate(self.basis)}
-        return [
-            _wedge(self.ring, list(form.coefficients), K, self.basis, index)
-            for K in combinations(range(self.ring.nvars), self.degree - 1)
-        ]
-
-
-def _wedge(ring, coeffs, K, basis, index) -> FreeModuleElement:
-    zero = ring.zero_poly()
-    comps = [zero] * len(basis)
-    for j in range(ring.nvars):
-        if j in K or not coeffs[j]:
-            continue
-        target = tuple(sorted(K + (j,)))
-        below = sum(1 for k in K if k < j)
-        term = coeffs[j] if below % 2 == 0 else -coeffs[j]
-        pos = index[target]
-        comps[pos] = comps[pos] + term
-    return FreeModuleElement(len(basis), comps)
-
-
 def omega_quotient_generators(
     sing: DetSingularity, form: OneForm
 ) -> Tuple[int, List[FreeModuleElement]]:
     """Rank and relation generators presenting top-degree forms of the germ
-    modulo wedging with the given 1-form."""
+    modulo wedging with the given 1-form.
+
+    The free module has one basis form per sorted dim-subset of the
+    variables, in lexicographic order.  The generators are each defining
+    minor times each basis form, then each minor's differential wedged
+    with each sorted (dim-1)-subset, then the form wedged with each
+    (dim-1)-subset.  Sign convention: dx_j wedged onto the sorted subset K
+    lands on the sorted union with sign (-1)^(number of elements of K
+    below j).
+    """
     if form.ring != sing.ring:
         raise ValueError("form and singularity live in different rings")
-    pres = DifferentialFormPresentation.build(sing.ring, sing.defining_minors(), sing.dim)
-    gens = list(pres.relations) + pres.wedge_generators(form)
-    return pres.rank, gens
+    nvars = sing.ring.nvars
+    basis = list(combinations(range(nvars), sing.dim))
+    index = {J: pos for pos, J in enumerate(basis)}
+    rank = len(basis)
+    zero = sing.ring.zero_poly()
+
+    def wedge(coeffs: Sequence[Poly], K: Tuple[int, ...]) -> FreeModuleElement:
+        # each j lands on its own subset K + {j}, so entries are assigned
+        comps = [zero] * rank
+        for j, c in enumerate(coeffs):
+            if c and j not in K:
+                below = bisect_left(K, j)
+                comps[index[K[:below] + (j,) + K[below:]]] = -c if below % 2 else c
+        return FreeModuleElement(rank, comps)
+
+    defs = sing.defining_minors()
+    gens = [FreeModuleElement(rank, [g if i == pos else zero for i in range(rank)])
+            for g in defs for pos in range(rank)]
+    # the rows are the minors' gradients, then the form
+    for row in _augmented_jacobian(defs, form):
+        gens.extend(wedge(row, K) for K in combinations(range(nvars), sing.dim - 1))
+    return rank, gens
 
 
 def omega_quotient_dim(sing: DetSingularity, form: OneForm):

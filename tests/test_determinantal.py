@@ -1,5 +1,6 @@
 import random
 import re
+from itertools import combinations
 
 import pytest
 
@@ -13,7 +14,6 @@ from detindex import (
     classify,
     colength,
     minors,
-    minors_indexed,
     parse_poly,
     stabilized_colength,
     standard_basis,
@@ -72,19 +72,32 @@ def test_minors_size_out_of_range(ring_xy):
         minors([[P("x", ring_xy)]], 2)
 
 
+def minor_keys(nrows, ncols, size):
+    """(row set, column set) of each minor, in the order `minors` lists them."""
+    return [(I, J) for I in combinations(range(nrows), size) for J in combinations(range(ncols), size)]
+
+
 def test_minors_indexed_lexicographic_order(ring_xyzu):
     sing = surface_232(ring_xyzu)
-    keys = [key for key, _ in minors_indexed(sing.matrix, 2)]
+    keys = minor_keys(2, 3, 2)
     assert keys == sorted(keys)
+    mat = sing.matrix
+    assert minors(mat, 2) == [
+        mat[i0][j0] * mat[i1][j1] - mat[i0][j1] * mat[i1][j0] for (i0, i1), (j0, j1) in keys
+    ]
+    assert minors(mat, 2) == [
+        P("z*x - (y+u)*u", ring_xyzu), P("z*y - x*u", ring_xyzu), P("(y+u)*y - x^2", ring_xyzu),
+    ]
 
 
 def test_minors_alternating_under_row_swap(ring_xyz):
     rng = random.Random(3)
+    keys = minor_keys(3, 3, 2)
     for _ in range(10):
         mat = [[random_poly(ring_xyz, rng, max_terms=3, max_deg=2) for _ in range(3)] for _ in range(3)]
         swapped = [mat[1], mat[0], mat[2]]
-        original = dict(minors_indexed(mat, 2))
-        flipped = dict(minors_indexed(swapped, 2))
+        original = dict(zip(keys, minors(mat, 2)))
+        flipped = dict(zip(keys, minors(swapped, 2)))
         # minors whose row set contains both swapped rows change sign
         assert flipped[((0, 1), (0, 1))] == -original[((0, 1), (0, 1))]
         assert flipped[((0, 1), (1, 2))] == -original[((0, 1), (1, 2))]
@@ -239,6 +252,17 @@ def test_one_form_validation(ring_xy):
     assert [c.render() for c in form.coefficients] == ["2*x", "2*y"]
     dz = OneForm.coordinate(ring_xy, "y")
     assert [c.render() for c in dz.coefficients] == ["0", "1"]
+
+
+def test_one_form_coordinate_checks_the_variable(ring_xyz):
+    for index, name in enumerate(ring_xyz.variables):
+        assert OneForm.coordinate(ring_xyz, index) == OneForm.coordinate(ring_xyz, name)
+        assert OneForm.coordinate(ring_xyz, index) == OneForm.differential(ring_xyz.variable(index))
+    for index in (-1, ring_xyz.nvars):
+        with pytest.raises(IndexError, match="variable index out of range"):
+            OneForm.coordinate(ring_xyz, index)
+    with pytest.raises(KeyError):
+        OneForm.coordinate(ring_xyz, "w")
 
 
 XY, XYZ = RingContext(("x", "y")), RingContext(("x", "y", "z"))

@@ -8,7 +8,6 @@ import pytest
 from detindex import (
     INFINITE,
     DetSingularity,
-    DifferentialFormPresentation,
     FreeModuleElement,
     Ideal,
     OneForm,
@@ -248,21 +247,40 @@ def test_semicontinuity_bounds_on_surface_example(surface, du):
     assert omega_quotient_dim(surface, du) >= 3
 
 
+def renders(gens):
+    return [[c.render() for c in g.components] for g in gens]
+
+
+def test_omega_generators_hand_written(ring_xyz):
+    # [[x]] in C^3 with dz: basis forms dx^dy, dx^dz, dy^dz
+    sing = DetSingularity.create(ring_xyz, [[P("x", ring_xyz)]], 1)
+    rank, gens = omega_quotient_generators(sing, OneForm.coordinate(ring_xyz, "z"))
+    assert rank == 3
+    assert renders(gens) == [
+        ["x", "0", "0"], ["0", "x", "0"], ["0", "0", "x"],  # x times each basis form
+        ["0", "0", "0"], ["1", "0", "0"], ["0", "1", "0"],  # dx wedged with dx, dy, dz
+        ["0", "-1", "0"], ["0", "0", "-1"], ["0", "0", "0"],  # dz wedged with dx, dy, dz
+    ]
+
+
 def test_wedge_generators_flip_sign_with_equation(ring_xyz):
     f = P("x*y + z^2", ring_xyz)
-    pres_plus = DifferentialFormPresentation.build(ring_xyz, [f], 2)
-    pres_minus = DifferentialFormPresentation.build(ring_xyz, [-f], 2)
-    assert len(pres_plus.relations) == len(pres_minus.relations)
-    for a, b in zip(pres_plus.relations, pres_minus.relations):
-        assert [( -c ) for c in a.components] == list(b.components)
+    form = OneForm.coordinate(ring_xyz, "z")
+    rank_plus, plus = omega_quotient_generators(DetSingularity.create(ring_xyz, [[f]], 1), form)
+    rank_minus, minus = omega_quotient_generators(DetSingularity.create(ring_xyz, [[-f]], 1), form)
+    assert rank_plus == rank_minus == 3
+    assert len(plus) == len(minus) == 9
+    for a, b in zip(plus[:6], minus[:6]):
+        assert [-c for c in a.components] == list(b.components)
+    assert plus[6:] == minus[6:]
 
 
 def test_wedge_sign_convention(ring_xyz):
-    pres = DifferentialFormPresentation.build(ring_xyz, [P("x", ring_xyz)], 2)
-    form = OneForm.coordinate(ring_xyz, "z")
-    wedges = pres.wedge_generators(form)
-    # basis 2-subsets in lexicographic order: (0,1), (0,2), (1,2)
-    by_k = {k: w for k, w in zip(((0,), (1,), (2,)), wedges)}
+    sing = DetSingularity.create(ring_xyz, [[P("x", ring_xyz)]], 1)
+    _, gens = omega_quotient_generators(sing, OneForm.coordinate(ring_xyz, "z"))
+    # the last three wedge dz with dx, dy, dz; basis 2-subsets in
+    # lexicographic order: (0,1), (0,2), (1,2)
+    by_k = dict(zip(((0,), (1,), (2,)), gens[-3:]))
     # dz wedge dx = -e_{(0,2)}
     assert [c.render() for c in by_k[(0,)].components] == ["0", "-1", "0"]
     # dz wedge dy = -e_{(1,2)}
@@ -312,14 +330,6 @@ DZ = OneForm.coordinate(XYZ, "z")
                  id="algebra-other-ring"),
     pytest.param(lambda: omega_quotient_generators(SURFACE_232, DZ), "form and singularity live in different rings",
                  id="omega-other-ring"),
-    pytest.param(lambda: DifferentialFormPresentation.build(XY, [], 3), "form degree out of range",
-                 id="degree-above"),
-    pytest.param(lambda: DifferentialFormPresentation.build(XY, [], -1), "form degree out of range",
-                 id="degree-below"),
-    pytest.param(lambda: DifferentialFormPresentation.build(XY, [XYZ.variable(0)], 1), "equation from a different ring",
-                 id="equation-other-ring"),
-    pytest.param(lambda: DifferentialFormPresentation.build(XY, [], 0).wedge_generators(OneForm.coordinate(XY, "x")),
-                 "cannot wedge into degree-0 forms", id="wedge-degree-zero"),
 ])
 def test_rejected_inputs_name_the_fault(call, message):
     with pytest.raises(ValueError, match=re.escape(message)):
