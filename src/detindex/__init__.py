@@ -11,7 +11,6 @@ from .rings import (
     Poly,
     PolyParseError,
     RingContext,
-    monomials_up_to,
     parse_poly,
     sort_key,
 )
@@ -100,7 +99,6 @@ __all__ = [
     "minors",
     "module_colength",
     "module_standard_basis",
-    "monomials_up_to",
     "omega_quotient_dim",
     "omega_quotient_generators",
     "parse_poly",

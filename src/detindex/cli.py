@@ -120,6 +120,13 @@ def _require_string_list(manifest: dict, field: str) -> list:
     return value
 
 
+def _require_int(manifest: dict, field: str) -> int:
+    value = manifest.get(field)
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise ManifestError(field, "must be an integer")
+    return value
+
+
 def _require_int_list(manifest: dict, field: str, length: Optional[int] = None) -> list:
     value = manifest.get(field)
     if not isinstance(value, list) or not all(isinstance(v, int) and not isinstance(v, bool) for v in value):
@@ -144,11 +151,26 @@ def _parse_polys(field: str, entries: list, ring: RingContext, row: str = "") ->
     return polys
 
 
+# The fields every report copies as given, each with its type check, in
+# the order they are checked.  Their types are checked for every command;
+# t and the ranges are checked where used.
+_COPIED_FIELDS = {
+    "type": functools.partial(_require_int_list, length=3),
+    "radial": _require_int_list,
+    "chi": _require_int_list,
+    "N": _require_int,
+    "chi_sing": _require_int,
+}
+
+
 class ManifestData:
-    """Validated manifest: ring plus whatever optional blocks are present."""
+    """Validated manifest: ring plus whatever optional blocks are present.
+    `normalized` is the manifest that reports embed: each parsed field in
+    its canonical form, the copied fields as given."""
 
     def __init__(self, manifest: dict):
         self.raw = manifest
+        self.normalized = {}
         self.ring = None
         self.matrix = None
         self.t = None
@@ -160,6 +182,7 @@ class ManifestData:
                 self.ring = RingContext(tuple(names))
             except ValueError as exc:
                 raise ManifestError("variables", str(exc)) from None
+            self.normalized["variables"] = list(self.ring.variables)
         if "matrix" in manifest:
             if self.ring is None:
                 raise ManifestError("variables", "required when a matrix is given")
@@ -175,12 +198,12 @@ class ManifestData:
             self.matrix = parsed
             if "t" not in manifest:
                 raise ManifestError("t", "required when a matrix is given")
-            t = manifest["t"]
-            if not isinstance(t, int) or isinstance(t, bool):
-                raise ManifestError("t", "must be an integer")
+            t = _require_int(manifest, "t")
             if not 1 <= t <= min(len(rows), width):
                 raise ManifestError("t", "need 1 <= t <= min(m, n) = %d" % min(len(rows), width))
             self.t = t
+            self.normalized["matrix"] = [[p.render() for p in row] for row in parsed]
+            self.normalized["t"] = t
         if "form" in manifest:
             if self.ring is None:
                 raise ManifestError("variables", "required when a form is given")
@@ -188,19 +211,17 @@ class ManifestData:
             if len(entries) != self.ring.nvars:
                 raise ManifestError("form", "must list one coefficient per variable")
             self.form = OneForm(_parse_polys("form", entries, self.ring))
+            self.normalized["form"] = [p.render() for p in self.form.coefficients]
         if "ideal" in manifest:
             if self.ring is None:
                 raise ManifestError("variables", "required when an ideal is given")
             self.ideal = _parse_polys("ideal", _require_string_list(manifest, "ideal"), self.ring)
-        # Every report copies these fields as given, so their types are
-        # checked for every command; t and the ranges are checked where used.
-        for field, length in (("type", 3), ("radial", None), ("chi", None)):
-            if manifest.get(field) is not None:
-                _require_int_list(manifest, field, length)
-        for field in ("N", "chi_sing"):
-            value = manifest.get(field)
-            if value is not None and (not isinstance(value, int) or isinstance(value, bool)):
-                raise ManifestError(field, "must be an integer")
+            self.normalized["ideal"] = [p.render() for p in self.ideal]
+        for field, require in _COPIED_FIELDS.items():
+            if field in manifest:
+                if manifest[field] is not None:
+                    require(manifest, field)
+                self.normalized[field] = manifest[field]
 
     def singularity(self) -> DetSingularity:
         if self.matrix is None:
@@ -231,23 +252,6 @@ class ManifestData:
         if not 1 <= t <= m <= n:
             raise ManifestError("type", "need 1 <= t <= m <= n")
         return m, n, t, ambient
-
-
-def normalized_manifest(manifest: dict, data: ManifestData) -> dict:
-    out = {}
-    if data.ring is not None:
-        out["variables"] = list(data.ring.variables)
-    if data.matrix is not None:
-        out["matrix"] = [[p.render() for p in row] for row in data.matrix]
-        out["t"] = data.t
-    if data.form is not None:
-        out["form"] = [p.render() for p in data.form.coefficients]
-    if data.ideal is not None:
-        out["ideal"] = [p.render() for p in data.ideal]
-    for key in ("type", "N", "radial", "chi", "chi_sing"):
-        if key in manifest:
-            out[key] = manifest[key]
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -290,6 +294,8 @@ def _colength_command(args, result_key: str, finite_required: bool, *inputs):
 def _cmd_check(data: ManifestData, args):
     sing = data.singularity()
     cls = classify(sing)
+    sing_colength = cls.sing_stratum_colength
+    finite = None if sing_colength is None else sing_colength is not INFINITE
     result = {
         "type": [sing.m, sing.n, sing.t],
         "ambient_dim": sing.ambient_dim,
@@ -299,11 +305,10 @@ def _cmd_check(data: ManifestData, args):
         "smoothable": cls.smoothable,
         "isolated": cls.isolated,
         "stratum_dims": list(cls.stratum_dims),
-        "sing_stratum_colength_finite": cls.sing_stratum_colength_finite,
+        "sing_stratum_colength_finite": finite,
     }
-    bound = isolation_bound(sing.m, sing.n, sing.t)
-    if sing.t >= 2 and sing.ambient_dim == bound and cls.sing_stratum_colength_finite:
-        result["chi_sing"] = chi_singular_stratum(sing)
+    if finite and sing.ambient_dim == isolation_bound(sing.m, sing.n, sing.t):
+        result["chi_sing"] = sing_colength
     return result, {"transposed": sing.transposed}, 0
 
 
@@ -471,11 +476,9 @@ def run(argv=None) -> int:
     args = parser.parse_args(argv)
     handler, _ = _COMMANDS[args.command]
     try:
-        manifest = None
         data = None
         if args.manifest is not None:  # only `tables` may go without one
-            manifest = load_manifest(args.manifest)
-            data = ManifestData(manifest)
+            data = ManifestData(load_manifest(args.manifest))
         result, extras, code = handler(data, args)
         provenance = {
             "ordering": LOCAL_ORDER,
@@ -488,7 +491,7 @@ def run(argv=None) -> int:
             "provenance": provenance,
         }
         if data is not None:
-            report["manifest"] = normalized_manifest(manifest, data)
+            report["manifest"] = data.normalized
         text = _dump(report)
         if args.output:
             try:

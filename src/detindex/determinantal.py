@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 from .rings import Poly, RingContext, _add_term
 from .standard_bases import INFINITE, Ideal, colength
@@ -135,14 +135,15 @@ class DetSingularity:
 class SingularityClass:
     """Isolation and smoothability flags with per-stratum dimensions.
 
-    sing_stratum_colength_finite reports the necessary finiteness check
-    on the ideal of (t-1)-minors; None when t = 1 (no deeper stratum).
+    sing_stratum_colength is the colength of the ideal of (t-1)-minors,
+    an int or INFINITE (being finite is necessary for isolation); None
+    when t = 1 (no deeper stratum).
     """
 
     smoothable: bool
     isolated: bool
     stratum_dims: Tuple[int, ...]
-    sing_stratum_colength_finite: Optional[bool]
+    sing_stratum_colength: object
 
 
 def isolation_bound(m: int, n: int, t: int) -> int:
@@ -167,14 +168,11 @@ def classify(sing: DetSingularity) -> SingularityClass:
     m, n, t, N = sing.m, sing.n, sing.t, sing.ambient_dim
     bound = isolation_bound(m, n, t)
     dims = tuple(stratum_dim(m, n, i, N) for i in range(1, t + 1))
-    finite = None
-    if t >= 2:
-        finite = colength(stratum_ideal(sing, t - 1)) is not INFINITE
     return SingularityClass(
         smoothable=N < bound,
         isolated=N <= bound,
         stratum_dims=dims,
-        sing_stratum_colength_finite=finite,
+        sing_stratum_colength=colength(stratum_ideal(sing, t - 1)) if t >= 2 else None,
     )
 
 
@@ -193,7 +191,7 @@ def chi_singular_stratum(sing: DetSingularity) -> int:
         raise ValueError(
             "formula applies only when N = (m-t+2)(n-t+2); got N=%d, bound=%d" % (N, bound)
         )
-    value = colength(stratum_ideal(sing, t - 1))
+    value = classify(sing).sing_stratum_colength
     if value is INFINITE:
         raise ValueError("infinite colength: the input is not an isolated determinantal singularity")
     return value

@@ -16,7 +16,7 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 from operator import add
-from typing import Iterator, Tuple
+from typing import Tuple
 
 Monomial = Tuple[int, ...]
 
@@ -81,20 +81,6 @@ def mono_mul(a: Monomial, b: Monomial) -> Monomial:
 
 def mono_lcm(a: Monomial, b: Monomial) -> Monomial:
     return tuple(map(max, a, b))
-
-
-def monomials_up_to(nvars: int, maxdeg: int) -> Iterator[Monomial]:
-    """All exponent tuples of total degree <= maxdeg, degree by degree."""
-    def rec(remaining: int, budget: int):
-        if remaining == 1:
-            yield (budget,)
-            return
-        for head in range(budget + 1):
-            for tail in rec(remaining - 1, budget - head):
-                yield (head,) + tail
-
-    for deg in range(maxdeg + 1):
-        yield from rec(nvars, deg)
 
 
 def sort_key(mono: Monomial):

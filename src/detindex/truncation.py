@@ -30,7 +30,7 @@ a monomial adds a constant to each of its keys.
 
 Rows that the row space already holds are not built.  The rows enter
 generator by generator, and a generator's rows by multiplier in the
-order of monomials_up_to (by degree, then lex), which is a monomial
+order of _multiplier_codes (by degree, then lex), which is a monomial
 order: x_i * a comes before x_i * b whenever a comes before b.  The
 cut of x_i times a cut row m*g is the row x_i*m*g of the same generator
 (or zero, when that row is left out for having no term below D), and
@@ -74,7 +74,6 @@ from math import comb, gcd, lcm
 from operator import mul
 from typing import List, Sequence, Tuple
 
-from .rings import monomials_up_to
 from .standard_bases import INFINITE, FreeModuleElement, Ideal, _check_module_gens
 
 ORACLE_START_CAP = 4
@@ -114,7 +113,7 @@ def _hilbert_samuel(rank: int, gen_terms, nvars: int, cap: int) -> List[int]:
     # degree by degree, then component, then code, and the multiplier m
     # shifts a key by deg(m) * rank * cap^nvars + code(m).
     weights = [cap**i for i in range(nvars)]
-    monos = [(sum(m), sum(map(mul, m, weights))) for m in monomials_up_to(nvars, cap - 1)]
+    codes = _multiplier_codes(nvars, cap)
     base = cap**nvars
     step = rank * base
 
@@ -129,24 +128,37 @@ def _hilbert_samuel(rank: int, gen_terms, nvars: int, cap: int) -> List[int]:
             continue  # no term below the cap: every row is zero
         top = cap - 1 - min(deg for deg, _, _ in terms)  # the multipliers' top degree
         dependent = set()  # codes of the multipliers whose row was dependent
-        # monos runs degree by degree: the multipliers of degree <= top
-        for mdeg, mcode in monos[: comb(top + nvars, nvars)]:
-            for w in weights:
-                # m/x_i dependent, where m_i >= 1: without the digit test
-                # mcode - w could borrow into another monomial
-                if mcode - w in dependent and mcode // w % cap:
-                    dependent.add(mcode)
-                    break
-            else:
-                shift = mdeg * step + mcode
-                if not _add_row({key + shift: c for deg, key, c in terms if deg < cap - mdeg}, pivots):
-                    dependent.add(mcode)
+        for mdeg in range(top + 1):
+            for mcode in codes[mdeg]:
+                for w in weights:
+                    # m/x_i dependent, where m_i >= 1: without the digit test
+                    # mcode - w could borrow into another monomial
+                    if mcode - w in dependent and mcode // w % cap:
+                        dependent.add(mcode)
+                        break
+                else:
+                    shift = mdeg * step + mcode
+                    if not _add_row({key + shift: c for deg, key, c in terms if deg < cap - mdeg}, pivots):
+                        dependent.add(mcode)
 
     # free[e]: the rank * C(e+nvars-1, nvars-1) columns of degree e minus its pivots
     free = [rank * comb(e + nvars - 1, nvars - 1) for e in range(cap)]
     for key in pivots:
         free[key // step] -= 1
     return list(accumulate(free, initial=0))
+
+
+def _multiplier_codes(nvars: int, cap: int) -> List[List[int]]:
+    """codes[d]: the codes sum m_i * cap^i of the monomials m of degree
+    d < cap in nvars variables, in lex order of (m_0, m_1, ...)."""
+    # Built from the last variable back: the monomials in x_i, x_{i+1}, ...
+    # of degree d are x_i^h times those in x_{i+1}, ... of degree d - h,
+    # for h = 0, 1, ..., d in turn.
+    codes = [[d * cap ** (nvars - 1)] for d in range(cap)]
+    for i in range(nvars - 2, -1, -1):
+        w = cap**i
+        codes = [[h * w + c for h in range(d + 1) for c in codes[d - h]] for d in range(cap)]
+    return codes
 
 
 def _add_row(row: dict, pivots: dict) -> bool:

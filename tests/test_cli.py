@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from detindex import determinantal
 from detindex.cli import _COMMANDS, _jsonable, build_parser, run
 
 from conftest import time_limit
@@ -320,6 +321,37 @@ def test_check_reports_chi_sing_at_the_isolation_bound(tmp_path, capsys):
     assert result["chi_sing"] == 1
 
 
+def test_report_embeds_the_copied_fields_as_given(tmp_path, capsys):
+    # parsed fields are embedded in canonical form, the copied ones as
+    # given, a null one included; an unknown field is dropped
+    path = write_manifest(tmp_path, {"variables": ["y", "x", "z"], "matrix": [["x + x", "y"]], "t": 1,
+                                     "type": [1, 2, 1], "N": 2, "radial": [7], "chi": [2],
+                                     "chi_sing": None, "note": "dropped"})
+    code, out, _ = run_cli(capsys, "check", path)
+    assert code == 0
+    assert json.loads(out)["manifest"] == {
+        "variables": ["y", "x", "z"], "matrix": [["2*x", "y"]], "t": 1,
+        "type": [1, 2, 1], "N": 2, "radial": [7], "chi": [2], "chi_sing": None,
+    }
+
+
+def test_check_computes_the_singular_stratum_colength_once(capsys, monkeypatch):
+    # at the isolation bound, chi_sing is the colength that `classify`
+    # already computed for sing_stratum_colength_finite
+    calls = []
+    original = determinantal.colength
+
+    def counting(ideal):
+        calls.append(len(ideal.generators))
+        return original(ideal)
+
+    monkeypatch.setattr(determinantal, "colength", counting)
+    code, out, _ = run_cli(capsys, "check", os.path.join(MANIFEST_DIR, "generic-232-c6.json"))
+    assert code == 0
+    assert json.loads(out)["result"]["chi_sing"] == 1
+    assert calls == [6]  # the six 1x1 minors, once
+
+
 def test_check_omits_chi_sing_when_its_colength_is_infinite(tmp_path, capsys):
     path = write_manifest(tmp_path, {"variables": SIX, "matrix": DEGENERATE_232, "t": 2})
     code, out, _ = run_cli(capsys, "check", path)
@@ -393,6 +425,11 @@ _TYPE_232 = {"type": [2, 3, 2], "N": 6}
                  id="chi-missing"),
     pytest.param(["convert"], dict(_TYPE_232, radial=[1, 3], chi=[1, 4], chi_sing="1"), "chi_sing",
                  "must be an integer", id="chi-sing-string"),
+    # two bad copied fields: the first in the order type, radial, chi, N, chi_sing is named
+    pytest.param(["check"], {"chi_sing": "1", "type": [2, 3]}, "type", "must have length 3",
+                 id="type-before-chi-sing"),
+    pytest.param(["check"], {"N": "6", "chi": "x"}, "chi", "must be a list of integers",
+                 id="chi-before-N"),
     pytest.param(["tables", "--type", "2,x,2"], None, "--type", "expected m,n,t integers",
                  id="tables-type-not-integers"),
     pytest.param(["tables", "--type", "3,2,2"], None, "--type", "need 1 <= t <= m <= n",

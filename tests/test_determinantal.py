@@ -179,7 +179,7 @@ def test_classify_surface_example(ring_xyzu):
     cls = classify(surface_232(ring_xyzu))
     assert cls.smoothable and cls.isolated
     assert cls.stratum_dims == (0, 2)
-    assert cls.sing_stratum_colength_finite is True
+    assert cls.sing_stratum_colength == 1
 
 
 def test_classify_generic_boundary_case():
@@ -187,6 +187,7 @@ def test_classify_generic_boundary_case():
     assert not cls.smoothable
     assert cls.isolated
     assert cls.stratum_dims == (0, 4)
+    assert cls.sing_stratum_colength == 1
 
 
 def test_classify_complete_intersection_format(ring_xyz):
@@ -194,19 +195,23 @@ def test_classify_complete_intersection_format(ring_xyz):
     sing = DetSingularity.create(ring_xyz, [[P("x^2+y^2+z^2", ring_xyz)]], 1)
     cls = classify(sing)
     assert cls.smoothable and cls.isolated
-    assert cls.sing_stratum_colength_finite is None
+    assert cls.sing_stratum_colength is None
 
 
 def test_classify_smoothability_never_appears_when_enlarging_ambient():
-    # enlarging N can only destroy smoothability, never create it
-    for m in range(1, 4):
-        for n in range(m, 4):
-            for t in range(1, m + 1):
-                bound = (m - t + 2) * (n - t + 2)
-                for ambient in range(1, bound + 3):
-                    small = ambient < bound
-                    bigger = ambient + 1 < bound
-                    assert not (bigger and not small)
+    # the surface matrix in C^N, the variables past x, y, z, u unused:
+    # the isolation bound of type (2, 3, 2) is 6, and enlarging N can only
+    # destroy smoothability, never create it
+    was_smoothable = True
+    for ambient in range(4, 9):
+        ring = RingContext(("x", "y", "z", "u") + tuple("v%d" % i for i in range(ambient - 4)))
+        cls = classify(surface_232(ring))
+        assert cls.smoothable == (ambient < 6)
+        assert cls.isolated == (ambient <= 6)
+        assert was_smoothable or not cls.smoothable
+        was_smoothable = cls.smoothable
+        # the entries generate the maximal ideal only in C^4
+        assert cls.sing_stratum_colength == (1 if ambient == 4 else INFINITE)
 
 
 def test_stratum_dim_formula():

@@ -3,7 +3,7 @@ import pickle
 import random
 from fractions import Fraction
 from heapq import heappop, heappush
-from itertools import accumulate
+from itertools import accumulate, product
 from math import comb, gcd
 from operator import mul
 
@@ -16,7 +16,6 @@ from detindex import (
     RingContext,
     colength,
     minors,
-    monomials_up_to,
     parse_poly,
     standard_basis,
     stabilized_colength,
@@ -305,12 +304,18 @@ def test_rounds_stop_at_the_plateau(ring_xy, monkeypatch):
     assert report == _doubling_report(1, [(P("x^7", ring_xy),), (P("y", ring_xy),)], 2, 64)
 
 
+def _monomials_below(nvars, cap):
+    """Every exponent tuple of degree < cap, by degree, then lex."""
+    return sorted((m for m in product(range(cap), repeat=nvars) if sum(m) < cap),
+                  key=lambda m: (sum(m), m))
+
+
 def _unskipped_hilbert_samuel(rank, gen_terms, nvars, cap):
     """The elimination with no row skipped: every row of every generator
     is built and reduced, and columns are numbered through a table of
     the sorted (degree, component * cap^nvars + code) keys."""
     weights = [cap**i for i in range(nvars)]
-    monos = [(sum(m), sum(map(mul, m, weights))) for m in monomials_up_to(nvars, cap - 1)]
+    monos = [(sum(m), sum(map(mul, m, weights))) for m in _monomials_below(nvars, cap)]
     base = cap**nvars
     keys = sorted((deg, comp * base + code) for comp in range(rank) for deg, code in monos)
     column = {key: col for col, (_, key) in enumerate(keys)}
@@ -453,12 +458,31 @@ def test_a_pivot_is_its_reduced_row_made_primitive():
             assert pivots == before
 
 
+def _decoded_multipliers(nvars, cap):
+    """truncation._multiplier_codes, each code read back as its base-cap
+    digits (m_0, m_1, ...), as one list per degree."""
+    return [[tuple(code // cap**i % cap for i in range(nvars)) for code in codes]
+            for codes in truncation._multiplier_codes(nvars, cap)]
+
+
+def test_multiplier_codes_hold_each_monomial_once_by_degree_then_lex():
+    for nvars in range(1, 5):
+        for cap in (2, 5, 8):
+            per_degree = _decoded_multipliers(nvars, cap)
+            assert len(per_degree) == cap
+            for deg, monos in enumerate(per_degree):
+                assert all(sum(m) == deg for m in monos), (nvars, cap, deg)
+            assert [m for monos in per_degree for m in monos] == _monomials_below(nvars, cap)
+
+
 def test_monomial_order_is_multiplicative():
     # the rows of a generator are built in this order, and skipping the
     # multiples of a dependent row is exact only because x_i*a comes
     # before x_i*b whenever a comes before b
     for nvars in range(1, 5):
-        position = {m: k for k, m in enumerate(monomials_up_to(nvars, 7))}
+        order = [m for monos in _decoded_multipliers(nvars, 8) for m in monos]
+        position = {m: k for k, m in enumerate(order)}
+        assert len(position) == len(order)
         for deg in range(7):
             same = [m for m in position if sum(m) == deg]
             for a in same:
@@ -496,7 +520,7 @@ def _staircase_per_degree(ideal, cap):
     leads = standard_basis(ideal).staircase
     standard = [
         sum(m)
-        for m in monomials_up_to(ideal.ring.nvars, cap - 1)
+        for m in _monomials_below(ideal.ring.nvars, cap)
         if not any(all(a <= b for a, b in zip(lead, m)) for lead in leads)
     ]
     return tuple((d, sum(1 for deg in standard if deg < d)) for d in range(1, cap + 1))
