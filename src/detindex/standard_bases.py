@@ -17,20 +17,29 @@ leads are coprime only when one of e, f is 0.
 
 One kernel does every cancellation in the engine: on a mutable dict of
 terms h it cancels one term against a multiple of a reducer g, as
-h := gc*h - fc*x^shift*g with fc and gc the two lead coefficients
-divided by their gcd, so it scales h only when the lead coefficient of
-g does not divide that of h.  An S-vector is the first step of its own
-reduction: x^(lcm/lead gi)*gi is cancelled against gj at the lcm, and
-the same dict is reduced on.  Its lead comes from a heap of term keys
-with lazy deletion: a key whose term has cancelled is skipped when it
-surfaces.  The content is removed every few steps and at the end.
-Under position over term only elements leading in one component reduce
-or pair with each other, so the completion keeps, per component, a table
-of reducers in choice order, (number of terms, homogenized lead degree
-descending, lead key, position), and the list of elements leading there.
-A new basis element enters both and is paired with that list.  A
-reduction step takes, from the table of the remainder's lead component,
-the first entry whose lead divides the remainder's.
+h := gc*h - fc*x^shift*g with fc and gc the coefficient of h at that
+term and the lead coefficient of g divided by their gcd, so it scales h
+only when the lead coefficient of g does not divide the other.  An
+S-vector is the first step of its own reduction: x^(lcm/lead gi)*gi is
+cancelled against gj at the lcm, and the same dict is reduced on, term
+by term, lead and tail alike.  Its terms surface in ascending key order
+from a heap of term keys with lazy deletion: a key whose term has
+cancelled is skipped when it surfaces, a term no reducer divides stays,
+and every other term is cancelled.  A step creates only keys greater
+than the one it cancels, and one homogeneous degree holds finitely many
+terms, so the walk ends.  The content is removed every few steps and at
+the end.  Under position over term only elements leading in one
+component reduce or pair with each other, so the completion keeps, per
+component, a table of reducers in choice order, (number of terms,
+homogenized lead degree descending, lead key, position), and the list
+of elements leading there.  A new basis element enters both and is
+paired with that list.  A reduction step takes, from the table of the
+term's component, the first entry whose lead divides the term.  So each
+new basis element joins with its tail reduced against the basis as it
+stood then; older elements are not reduced again against it.  Short
+tails keep the reducers, and so every later reduction, short.  The
+tails do not touch the leads: the minimal leads generate the leading
+module of the input, whatever the tails.
 Every remainder is a nonzero multiple of the one a step-by-step
 primitive reduction would hold, so both choose the same reducers and
 end in the same primitive vector.
@@ -211,7 +220,11 @@ class StandardBasis:
     Minimal means: no leading monomial divides another, so the leads are
     the minimal generators of the leading ideal.  Elements are monic and
     listed from greatest to least leading monomial, so the output is
-    canonical for a given generating set; their tails are not reduced.
+    canonical for a given generating set.  An element the completion made
+    has its tail reduced against the basis as it stood when the element
+    joined; a generator keeps its tail as given, and no element is reduced
+    again against later ones.  The leads, and so the staircase, do not
+    depend on the tails.
     Membership compares staircases: I + (f) contains I, so it equals I
     exactly when the two have the same leading ideal, and so the same
     minimal leads in the same canonical order.
@@ -319,18 +332,18 @@ def _vec_primitive(v: dict) -> dict:
     return {k: c // content for k, c in v.items()}
 
 
-def _reduce_at(h: dict, lead: int, g: dict, glead: int) -> list:
+def _reduce_at(h: dict, at: int, g: dict, glead: int) -> list:
     """The one cancellation kernel: h := gc*h - fc*x^shift*g in place, where
-    x^shift times glead, the lead of g, is the term lead of h, and fc, gc
-    are h[lead] and g[glead] divided by their gcd, so the term at lead
+    x^shift times glead, the lead of g, is the term `at` of h, and fc, gc
+    are h[at] and g[glead] divided by their gcd, so the term at `at`
     cancels.  Returns the keys it created."""
     glc = g[glead]
-    d = gcd(h[lead], glc)
-    fc, gc = h[lead] // d, glc // d
+    d = gcd(h[at], glc)
+    fc, gc = h[at] // d, glc // d
     if gc != 1:
         for k in h:
             h[k] *= gc
-    shift = lead - glead
+    shift = at - glead
     created = []
     for k, c in g.items():
         k += shift
@@ -367,28 +380,30 @@ def _reducer_entry(g: dict, lead: int, e: int, index: int, keys: _Keys) -> tuple
 
 
 def _global_normal_form(h: dict, degree: int, tables: Sequence[list], keys: _Keys) -> dict:
-    """Plain lead reduction of the terms h of a homogeneous vector of
-    degree `degree`, in place (see module docstring), against one table
-    per component of _reducer_entry entries in ascending order; the first
-    divisor in the lead's component table wins.  Terminates as is."""
+    """Full reduction of the terms h of a homogeneous vector of degree
+    `degree`, in place (see module docstring), against one table per
+    component of _reducer_entry entries in ascending order: every term,
+    lead and tail, is cancelled in ascending key order by the first
+    divisor in its component's table, until no term is divisible.  It
+    ends: a step creates only keys greater than the one it cancels, and
+    one homogeneous degree holds finitely many terms."""
     tops, mask = keys.tops, keys.mask
     degree_shift, comp_shift = keys.degree_shift, keys.comp_shift
     heap = list(h)
     heapq.heapify(heap)
     steps = 0
     while heap:
-        lead = heap[0]
-        if lead not in h:
-            heapq.heappop(heap)  # cancelled since it was pushed
-            continue
-        hexp = degree - ((lead >> degree_shift) & mask)
-        covered = lead | tops
-        for _, glead, gexp, g in tables[lead >> comp_shift]:
+        term = heapq.heappop(heap)
+        if term not in h:
+            continue  # cancelled since it was pushed
+        hexp = degree - ((term >> degree_shift) & mask)
+        covered = term | tops
+        for _, glead, gexp, g in tables[term >> comp_shift]:
             if gexp <= hexp and (covered - glead) & tops == tops:
                 break
         else:
-            break  # the lead is irreducible
-        for k in _reduce_at(h, lead, g, glead):
+            continue  # irreducible: the term stays
+        for k in _reduce_at(h, term, g, glead):
             heapq.heappush(heap, k)
         steps += 1
         if steps % _CONTENT_EVERY == 0:

@@ -498,14 +498,16 @@ def _dehomogenized(terms):
 
 
 def _reference_slot_normal_form(h, reducers, leads, ties=None):
-    """Lead reduction of the explicitly homogenized terms h against the
-    explicitly homogenized reducers, whose leads are given, one primitive
-    copying step at a time, choosing among all divisors by (terms, -lead
-    degree, lead order key, index).  Appends to ties the lead of each step
-    where more than one divisor had the fewest terms."""
+    """Full reduction of the explicitly homogenized terms h against the
+    explicitly homogenized reducers, whose leads are given: every reducible
+    term in ascending order, one primitive copying step at a time,
+    choosing among all divisors by (terms, -lead degree, lead order key,
+    index).  Appends to ties the term of each step where more than one
+    divisor had the fewest terms."""
     h = _reference_primitive(h, _slot_key)
-    while h:
-        hlead = _lead(h, _slot_key)
+    kept = set()  # the irreducible terms, each less than every term still to reduce
+    while len(h) > len(kept):
+        hlead = _lead({k: c for k, c in h.items() if k not in kept}, _slot_key)
         (hcomp, hmono), _ = hlead
         keyed = []
         for idx, (g, glead) in enumerate(zip(reducers, leads)):
@@ -513,7 +515,8 @@ def _reference_slot_normal_form(h, reducers, leads, ties=None):
             if gcomp == hcomp and _mono_divides(gmono, hmono):
                 keyed.append(((len(g), -sum(gmono), _slot_key(gmono), idx), g, glead))
         if not keyed:
-            break
+            kept.add(hlead[0])
+            continue
         keyed.sort(key=lambda kg: kg[0])
         if ties is not None and len(keyed) > 1 and keyed[0][0][0] == keyed[1][0][0]:
             ties.append(hmono)
@@ -627,13 +630,14 @@ def test_s_vector_made_primitive_matches_reference(rank):
     assert scaled > 30
 
 
-@pytest.mark.parametrize("rank", [1, 2])
-def test_in_place_reducer_matches_step_by_step_reference(rank):
+def _random_reductions(rank):
+    """60 reductions in three variables, from a seed per rank: (f, its
+    homogenized degree, eight reducers of 1-3 terms, several of one
+    length, the exponents of t in their leads, and the engine's tables
+    for them, one per component in choice order)."""
     rng = random.Random(8 + rank)
     packing = _PACKING3
-    ties, reduced = [], 0
     for _ in range(60):
-        # eight reducers of 1-3 terms: several share a length
         reducers, exps = [], []
         for _ in range(8):
             degree = rng.randint(1, 3)
@@ -642,19 +646,44 @@ def test_in_place_reducer_matches_step_by_step_reference(rank):
             exps.append(degree - sum(_lead(g, sort_key)[0][1]))
         degree = rng.randint(3, 6)
         f = _random_homogeneous_vec(rng, 3, rank, degree, rng.randint(4, 12))
-        expected = _reference_global_normal_form(f, degree, reducers, exps, ties)
-        # one table per component, each in choice order
         tables = [sorted(_reducer_entry(packing.vec(g), packing.keys.pack(*_lead(g, sort_key)[0]), e, idx,
                                         packing.keys)
                          for idx, (g, e) in enumerate(zip(reducers, exps))
                          if _lead(g, sort_key)[0][0] == comp)
                   for comp in range(rank)]
+        yield f, degree, reducers, exps, tables
+
+
+@pytest.mark.parametrize("rank", [1, 2])
+def test_in_place_reducer_matches_step_by_step_reference(rank):
+    packing = _PACKING3
+    ties, reduced = [], 0
+    for f, degree, reducers, exps, tables in _random_reductions(rank):
+        expected = _reference_global_normal_form(f, degree, reducers, exps, ties)
         with time_limit(10):
             got = _global_normal_form(packing.vec(f), degree, tables, packing.keys)
             assert packing.terms(got) == expected
         reduced += expected != f
     assert reduced > 40
     assert len(ties) > 20
+
+
+@pytest.mark.parametrize("rank", [1, 2])
+def test_normal_form_leaves_no_term_a_reducer_divides(rank):
+    # Tails are reduced too: no term of the remainder, lead or tail, is
+    # divisible by a table entry once t is counted, x^a*t^e dividing the
+    # term x^b*t^(degree - |b|) exactly when e <= degree - |b| and x^a
+    # divides x^b.
+    keys = _PACKING3.keys
+    tails = 0
+    for f, degree, _, _, tables in _random_reductions(rank):
+        got = _global_normal_form(_PACKING3.vec(f), degree, tables, keys)
+        for k in got:
+            comp, mono = keys.unpack(k)
+            assert not any(gexp <= degree - sum(mono) and keys.divides(glead, k)
+                           for _, glead, gexp, _ in tables[comp])
+        tails += len(got) > 1
+    assert tails > 10
 
 
 XY, XYZ = RingContext(("x", "y")), RingContext(("x", "y", "z"))
@@ -708,6 +737,17 @@ def test_completion_matches_step_by_step_reference(monkeypatch, make):
         got = [standard_basis(I) for I in ideals]
     monkeypatch.setattr(standard_bases, "_buchberger", _reference_buchberger)
     assert [standard_basis(I) for I in ideals] == got
+
+
+def test_standard_basis_and_its_ideal_contain_each_other():
+    # Each generator of I lies in the ideal of its standard basis, and
+    # that ideal, completed again, has the staircase of I; the basis lies
+    # in I, so the two ideals are equal.
+    for I in _random_ideals() + _coprime_leads_ideal() + [_dense_ideal(4)]:
+        with time_limit(20):
+            basis = standard_basis(I)
+            assert all(basis.contains(g) for g in I.generators)
+            assert standard_basis(Ideal(basis.elements)).staircase == basis.staircase
 
 
 def _finite_homogeneous_modules():
@@ -1026,7 +1066,7 @@ def _module_without_second_component_leads():
     # walk runs whenever the basis has grown, so the stop can fire inside a degree
     pytest.param(lambda: colength(_dense_ideal(4)), 155, 17, 17, id="dense-k4"),
     pytest.param(lambda: colength(_dense_ideal(5)), 381, 30, 23, id="dense-k5"),
-    pytest.param(lambda: colength(_dense_ideal(6)), 780, 60, 51, id="dense-k6"),
+    pytest.param(lambda: colength(_dense_ideal(6)), 780, 63, 51, id="dense-k6"),
     # the top degree is the last pair degree, so the stop must not fire inside it;
     # 1451 = sum over d of max(0, h_d - h_(d-7)), h the Hilbert function of the
     # monomial complete intersection (x^7, y^7, z^7, u^7)
