@@ -89,6 +89,12 @@ def chi_bar_hyperplane(m: int, n: int, t: int) -> int:
     return _sign(t) * math.comb(m - 1, t - 1)
 
 
+def _coefficient(eps: int, m: int, i: int, j: int) -> int:
+    """Entry (i, j), counted from 1, of the conversion matrix of sign eps:
+    nmat has eps = (-1)^(m+n), mmat eps = (-1)^(m+n+1)."""
+    return eps ** (j - i) * math.comb(m - i, m - j) if j >= i else 0
+
+
 def coeff_matrices(m: int, n: int, t: int) -> CoeffMatrices:
     """Conversion coefficients between radial and Nash-bundle indices."""
     if t < 1:
@@ -96,8 +102,7 @@ def coeff_matrices(m: int, n: int, t: int) -> CoeffMatrices:
 
     def triangular(eps):
         return tuple(
-            tuple(eps ** (j - i) * math.comb(m - i, m - j) if j >= i else 0 for j in range(1, t + 1))
-            for i in range(1, t + 1)
+            tuple(_coefficient(eps, m, i, j) for j in range(1, t + 1)) for i in range(1, t + 1)
         )
 
     return CoeffMatrices(triangular(_sign(m + n)), triangular(_sign(m + n + 1)))
@@ -138,11 +143,11 @@ def phn_from_radial(
     """
     if len(radial) != t or len(chibar) != t:
         raise ValueError("radial and chibar vectors must have length t")
-    mmat = coeff_matrices(m, n, t).mmat
+    eps = _sign(m + n + 1)  # the last column of mmat
     total = 0
     for i in range(1, t + 1):
         d_i = stratum_dim(m, n, i, ambient_dim)
-        total += mmat[i - 1][t - 1] * (radial[i - 1] + _sign(d_i) * chibar[i - 1])
+        total += _coefficient(eps, m, i, t) * (radial[i - 1] + _sign(d_i) * chibar[i - 1])
     return total
 
 
@@ -156,8 +161,8 @@ def radial_from_phn(
     """
     if len(phn) != t:
         raise ValueError("phn vector must have length t")
-    nmat = coeff_matrices(m, n, t).nmat
-    total = sum(nmat[i - 1][t - 1] * phn[i - 1] for i in range(1, t + 1))
+    eps = _sign(m + n)  # the last column of nmat
+    total = sum(_coefficient(eps, m, i, t) * phn[i - 1] for i in range(1, t + 1))
     d = stratum_dim(m, n, t, ambient_dim)
     return total + _sign(d - 1) * chibar
 

@@ -127,8 +127,10 @@ def omega_quotient_generators(
 
 
 def omega_quotient_dim(sing: DetSingularity, form: OneForm):
-    """Dimension of top-degree forms modulo the form's wedge; for an
-    isolated determinantal singularity with an isolated zero of the form
-    this is the homological index."""
+    """h_n = dim Ω^n_X / ω∧Ω^(n-1)_X for n = dim X: the top homology of
+    the complex 0 → O_X → Ω^1_X → … → Ω^n_X → 0 with the map ∧ω.  The
+    homological index is the complex's Euler characteristic, so it equals
+    h_n only where the lower homology vanishes; on
+    manifests/generic-232-c6.json h = (0, 0, 0, 1, 6), χ = 5 against 6."""
     rank, gens = omega_quotient_generators(sing, form)
     return module_colength(rank, gens)

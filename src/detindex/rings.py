@@ -15,6 +15,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from operator import add
 from typing import Tuple
 
@@ -168,11 +169,18 @@ class Poly:
         self._check_ring(other)
         if not self.terms or not other.terms:
             return Poly(self.ring, {})
+        # integer numerators over one common denominator per factor, and
+        # one Fraction per term of the product
+        da = lcm(*(c.denominator for c in self.terms.values()))
+        db = lcm(*(c.denominator for c in other.terms.values()))
+        right = [(mb, cb.numerator * (db // cb.denominator)) for mb, cb in other.terms.items()]
         out: dict = {}
         for ma, ca in self.terms.items():
-            for mb, cb in other.terms.items():
-                _add_term(out, mono_mul(ma, mb), ca * cb)
-        return Poly(self.ring, out)
+            na = ca.numerator * (da // ca.denominator)
+            for mb, nb in right:
+                _add_term(out, mono_mul(ma, mb), na * nb)
+        den = da * db
+        return Poly(self.ring, {m: Fraction(c, den) for m, c in out.items()})
 
     def __pow__(self, exponent: int) -> "Poly":
         if not isinstance(exponent, int) or exponent < 0:

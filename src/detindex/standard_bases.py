@@ -34,7 +34,9 @@ component, a table of reducers in choice order, (number of terms,
 homogenized lead degree descending, lead key, position), and the list
 of elements leading there.  A new basis element enters both and is
 paired with that list.  A reduction step takes, from the table of the
-term's component, the first entry whose lead divides the term.  So each
+term's component, the first entry whose lead divides the term.  A
+one-term element is primitive, so its coefficient is 1: a step against
+it, or an S-vector's first step, just deletes the term.  So each
 new basis element joins with its tail reduced against the basis as it
 stood then; older elements are not reduced again against it.  Short
 tails keep the reducers, and so every later reduction, short.  The
@@ -95,16 +97,18 @@ rank-1 vector per generator.
 
 One walk reads the standard monomials (those no leading monomial
 divides) from the leads alone, by slices in the exponent of the last
-variable, and gives two answers: their number and their top degree, the
-greatest degree among them (-1 when there is none).  Between two
-consecutive leading exponents start < cut the slices are equal, each
-walked recursively from the leads at or below start with the last
-variable dropped (Bayer-Stillman's recursion on monomial ideals,
-pivoting on powers of the last variable): the stretch adds
-(cut - start) times the slice's count and reaches the slice's top degree
-plus cut - 1.  The slices past the largest leading exponent never end,
-so both answers are INFINITE when they are not empty.  A module sums
-the counts of its components and takes the greatest top degree.
+variable, and gives three answers: their number, their top degree, the
+greatest degree among them (-1 when there is none), and the corners,
+those of top degree, as term keys.  Between two consecutive leading
+exponents start < cut the slices are equal, each walked recursively
+from the leads at or below start with the last variable dropped
+(Bayer-Stillman's recursion on monomial ideals, pivoting on powers of
+the last variable): the stretch adds (cut - start) times the slice's
+count, and its top degree and corners are the slice's times
+x_last^(cut - 1).  The slices past the largest leading exponent never
+end, so the answers are INFINITE when they are not empty.  A module
+sums the counts of its components and takes the greatest top degree
+with the corners of the components that reach it.
 
 The completion stops at the highest corner.  When all the terms of each
 generator share one degree, every vector of the run is homogeneous and
@@ -116,9 +120,14 @@ at most the top degree, every monomial of a greater degree lies in the
 leading module, so every pair of a greater degree reduces to zero term
 by term.  Pairs pop by degree, so the loop ends at the first such pair:
 it skips only zero reductions, and the basis, hence the standard basis
-that setting t to 1 gives (Lazard), is what the full loop returns.  The
-walk runs at a pop whenever the basis has grown since the last walk, so
-the loop can end inside a degree: the argument holds at any pop.
+that setting t to 1 gives (Lazard), is what the full loop returns.  A
+staircase is finite exactly when its leads hold a pure power of every
+variable (a lead of degree 0 counts for all), and no walk runs before
+that holds in every component.  Then a joining lead drops the corners
+it divides; the top stands while one is left, as the staircase only
+shrinks, and the loop walks again at the first pop after the last is
+gone.  So the loop can end inside a degree: the argument holds at any
+pop.
 
 Membership is a lead question too, not a division: f lies in I exactly
 when I + (f) has the staircase of I (Greuel-Pfister, section 1.6), so
@@ -241,7 +250,8 @@ class StandardBasis:
         return standard_basis(bigger).staircase == self.staircase
 
     def colength(self):
-        return _staircase_walk(self.staircase)[0]
+        width = _first_width(max(map(sum, self.staircase), default=0))
+        return _staircase_walk(self.staircase, width)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -365,7 +375,10 @@ def _s_vector(gi: dict, ilead: int, gj: dict, jlead: int, lcm_ij: int) -> dict:
     first step of its reduction."""
     shift = lcm_ij - ilead
     h = {k + shift: v for k, v in gi.items()}
-    _reduce_at(h, lcm_ij, gj, jlead)
+    if len(gj) == 1:
+        del h[lcm_ij]  # primitive, gj is its lead with coefficient 1
+    else:
+        _reduce_at(h, lcm_ij, gj, jlead)
     return h
 
 
@@ -403,6 +416,9 @@ def _global_normal_form(h: dict, degree: int, tables: Sequence[list], keys: _Key
                 break
         else:
             continue  # irreducible: the term stays
+        if len(g) == 1:
+            del h[term]  # primitive, g is its lead with coefficient 1
+            continue
         for k in _reduce_at(h, term, g, glead):
             heapq.heappush(heap, k)
         steps += 1
@@ -430,11 +446,18 @@ def _buchberger(gens: Sequence[dict], rank: int, keys: _Keys) -> List[dict]:
     # Heap entries are (homogenized lcm degree, key of lcm, i, j): a
     # total order, as (i, j) is unique.
     pairs: list = []
+    # The highest corner (see module docstring): the (component,
+    # variable) pairs with no pure power among the leads yet, then the
+    # corners of the last walk that no lead has divided since.
+    unpowered = {(comp, i) for comp in range(rank) for i in range(keys.nvars)}
+    corners: List[int] = []
+    degree_field = keys.mask << keys.degree_shift
 
     def add(v, degree):
         # The one way into the basis: record v of homogenized degree
         # `degree`, file its reducer entry, and pair it with every earlier
         # element of its component.
+        nonlocal corners
         new = len(G)
         lead = min(v)
         e = degree - keys.degree(lead)
@@ -444,6 +467,14 @@ def _buchberger(gens: Sequence[dict], rank: int, keys: _Keys) -> List[dict]:
         lead_keys.append(lead)
         exps.append(e)
         bisect.insort(tables[comp], _reducer_entry(v, lead, e, new, keys))
+        support = [i for i, a in enumerate(m) if a]
+        if len(support) <= 1:  # a pure power, or 1, which is one of every variable
+            unpowered.difference_update((comp, i) for i in support or range(keys.nvars))
+        if corners:
+            # corners have no degree field: the top may pass the width's limit
+            bare = lead & ~degree_field
+            corners = [c for c in corners
+                       if c >> keys.comp_shift != comp or not keys.divides(bare, c)]
         for k in members[comp]:
             lcm_kn = mono_lcm(leads[k], m)
             degree = sum(lcm_kn) + max(exps[k], e)
@@ -465,13 +496,12 @@ def _buchberger(gens: Sequence[dict], rank: int, keys: _Keys) -> List[dict]:
             homogeneous = homogeneous and len(degrees) == 1
             add(_vec_primitive(g), max(degrees))
     done = set()
-    walked_size, top = 0, INFINITE
+    top = INFINITE
 
     while pairs:
         degree, lcm_ij, i, j = heapq.heappop(pairs)
-        if homogeneous and len(G) > walked_size:
-            walked_size = len(G)
-            top = _lead_walk([[leads[k] for k in ks] for ks in members])[1]
+        if homogeneous and not unpowered and not corners:
+            _, top, corners = _lead_walk([[leads[k] for k in ks] for ks in members], keys)
         if top is not INFINITE and degree > top:
             break  # every pair left reduces to zero
         done.add((i, j))
@@ -560,37 +590,53 @@ def standard_basis(ideal: Ideal) -> StandardBasis:
     return StandardBasis(ring, LOCAL_ORDER, elements, staircase)
 
 
-def _staircase_walk(leads: Sequence[Monomial]):
+def _staircase_walk(leads: Sequence[Monomial], width: int):
     """(number of monomials that no lead divides, greatest degree of such
-    a monomial or -1 when there is none), or (INFINITE, INFINITE) (see
-    module docstring).  A ring has at least one variable, so no leads
-    leave infinitely many."""
+    a monomial or -1 when there is none, the list of such monomials of
+    that degree: the corners), or (INFINITE, INFINITE, []) (see module
+    docstring).  A corner x^m is packed as sum of m_i*2^(i*width): a term
+    key of _Keys with its degree and component fields 0.  A ring has at
+    least one variable, so no leads leave infinitely many."""
     if not leads:
-        return INFINITE, INFINITE
+        return INFINITE, INFINITE, []
     last = len(leads[0]) - 1
     if last == 0:
         count = min(m[0] for m in leads)
-        return count, count - 1
+        return count, count - 1, [count - 1] if count else []
     bounds = sorted({0, *(m[last] for m in leads)})
-    total, top = 0, -1
+    total, top, corners = 0, -1, []
     for start, cut in zip(bounds, bounds[1:] + [None]):
-        count, slice_top = _staircase_walk([m[:last] for m in leads if m[last] <= start])
+        count, slice_top, slice_corners = _staircase_walk(
+            [m[:last] for m in leads if m[last] <= start], width)
         if count == 0:
-            return total, top  # every later slice has more leads, so is empty too
+            return total, top, corners  # every later slice has more leads, so is empty too
         if count is INFINITE or cut is None:
-            return INFINITE, INFINITE
+            return INFINITE, INFINITE, []
         total += (cut - start) * count
-        top = max(top, slice_top + cut - 1)
+        # the stretch's top and corners lie in its last slice, x_last^(cut - 1)
+        stretch_top = slice_top + cut - 1
+        if stretch_top >= top:
+            lifted = [c + ((cut - 1) << (last * width)) for c in slice_corners]
+            if stretch_top > top:
+                top, corners = stretch_top, lifted
+            else:
+                corners += lifted
 
 
-def _lead_walk(per_component: Sequence[Sequence[Monomial]]):
-    """(colength, top degree) of a submodule from the leads of its
-    standard basis in each component: the sum of the components' counts
-    and the greatest of their top degrees, or (INFINITE, INFINITE)."""
-    walks = [_staircase_walk(leads) for leads in per_component]
-    if any(count is INFINITE for count, _ in walks):
-        return INFINITE, INFINITE
-    return sum(count for count, _ in walks), max(top for _, top in walks)
+def _lead_walk(per_component: Sequence[Sequence[Monomial]], keys: _Keys):
+    """(colength, top degree, corners) of a submodule from the leads of
+    its standard basis in each component: the sum of the components'
+    counts, the greatest of their top degrees, and the corners of the
+    components that reach it, their component fields set; or (INFINITE,
+    INFINITE, [])."""
+    walks = [_staircase_walk(leads, keys.width) for leads in per_component]
+    if any(count is INFINITE for count, _, _ in walks):
+        return INFINITE, INFINITE, []
+    top = max(top for _, top, _ in walks)
+    corners = [c + (comp << keys.comp_shift)
+               for comp, (_, comp_top, comp_corners) in enumerate(walks) if comp_top == top
+               for c in comp_corners]
+    return sum(count for count, _, _ in walks), top, corners
 
 
 def _lead_count(keys: _Keys, basis: Sequence[dict], rank: int):
@@ -600,7 +646,7 @@ def _lead_count(keys: _Keys, basis: Sequence[dict], rank: int):
     for v in basis:
         comp, mono = keys.unpack(min(v))
         per_component[comp].append(mono)
-    return _lead_walk(per_component)[0]
+    return _lead_walk(per_component, keys)[0]
 
 
 def colength(ideal: Ideal):

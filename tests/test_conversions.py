@@ -1,3 +1,4 @@
+import json
 import math
 import random
 import re
@@ -17,9 +18,11 @@ from detindex import (
     smoothable_index,
     stratum_dim,
 )
+from detindex import conversions
+from detindex.cli import run
 from detindex.conversions import _ph_sum
 
-from conftest import chi_bar_sum
+from conftest import chi_bar_sum, time_limit
 
 
 # -- resolution fiber Euler characteristics -------------------------------------
@@ -198,6 +201,35 @@ def test_conversion_round_trip_randomized():
         chibar = [rng.randint(-9, 9) for _ in range(t)]
         phn = [phn_from_radial(rad[:j], chibar[:j], m, n, j, ambient) for j in range(1, t + 1)]
         assert radial_from_phn(phn, m, n, t, ambient, chibar[-1]) == rad[-1]
+
+
+def test_conversions_read_the_last_column_of_the_matrices():
+    # A unit vector in slot i reads coefficient (i, t): from mmat in
+    # phn_from_radial, from nmat in radial_from_phn.
+    for n in range(1, 9):
+        for m in range(1, n + 1):
+            for t in range(1, m + 1):
+                mats = coeff_matrices(m, n, t)
+                ambient = m * n
+                for i in range(1, t + 1):
+                    unit = [int(k == i) for k in range(1, t + 1)]
+                    assert phn_from_radial(unit, [0] * t, m, n, t, ambient) == mats.mmat[i - 1][t - 1]
+                    assert radial_from_phn(unit, m, n, t, ambient, 0) == mats.nmat[i - 1][t - 1]
+
+
+def test_convert_builds_no_coefficient_matrices(monkeypatch, tmp_path):
+    # One column per conversion: no t x t matrix pair is built and checked.
+    def refuse(*args):
+        raise AssertionError("a conversion built both coefficient matrices")
+
+    monkeypatch.setattr(conversions, "coeff_matrices", refuse)
+    path = tmp_path / "m.json"
+    path.write_text(json.dumps({"type": [80, 80, 80], "N": 6561, "radial": list(range(80)),
+                                "chi": [1] * 80}))
+    with time_limit(2):
+        assert run(["convert", str(path), "--output", str(tmp_path / "report.json")]) == 0
+    result = json.loads((tmp_path / "report.json").read_text())["result"]
+    assert result["radial_roundtrip"] == 79 and len(result["phn_per_stratum"]) == 80
 
 
 # -- isolated non-smoothable case ------------------------------------------------------

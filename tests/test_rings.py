@@ -139,6 +139,46 @@ def test_ring_axioms_randomized(ring_xyz):
         assert f * (g + h) == f * g + f * h
 
 
+def _term_by_term_product(f, g):
+    """f*g one Fraction product at a time, in the order of the terms: a
+    term that cancels is dropped and, met again, appended.  Also returns
+    whether that happened."""
+    out, reappeared, dropped = {}, False, set()
+    for ma, ca in f.terms.items():
+        for mb, cb in g.terms.items():
+            m = tuple(a + b for a, b in zip(ma, mb))
+            if m not in out:
+                reappeared = reappeared or m in dropped
+                out[m] = ca * cb
+            elif out[m] + ca * cb:
+                out[m] += ca * cb
+            else:
+                del out[m]
+                dropped.add(m)
+    return out, reappeared
+
+
+def test_product_matches_the_term_by_term_fraction_product(ring_xyz):
+    # The product works on integer numerators over one denominator per
+    # factor; its terms, values and order are those of the Fraction product.
+    rng = random.Random(8)
+    # x*yz, then y*(-xz) cancels it, then z*xy brings xyz back at the end
+    pairs = [(P("1/2*x + y + 2/3*z", ring_xyz), P("y*z - 1/2*x*z + 3/4*x*y", ring_xyz))]
+    for _ in range(300):
+        pairs.append(tuple(
+            Poly(ring_xyz, {m: c / rng.choice((1, 2, 3, 4, 6, 9, 35)) for m, c in
+                            random_poly(ring_xyz, rng, max_terms=7, max_deg=2).terms.items()})
+            for _ in range(2)))
+    reappeared = 0
+    for f, g in pairs:
+        expected, again = _term_by_term_product(f, g)
+        got = f * g
+        assert list(got.terms.items()) == list(expected.items())
+        assert all(type(c) is Fraction for c in got.terms.values())
+        reappeared += again
+    assert reappeared
+
+
 def test_power_builds_no_product_past_the_result(monkeypatch, ring_xy):
     multiply = Poly.__mul__
     degrees = []

@@ -232,15 +232,18 @@ def _random_leads(rng, nvars):
 
 
 def _brute_force_top(leads, nvars):
-    """Greatest degree of a monomial that no lead divides, -1 when there
-    is none, or INFINITE, by enumeration under the box of the least pure
-    powers as in _brute_force_count."""
+    """(greatest degree of a monomial that no lead divides, -1 when there
+    is none, or INFINITE; the set of such monomials of that degree), by
+    enumeration under the box of the least pure powers as in
+    _brute_force_count."""
     if _brute_force_count(leads, nvars) is INFINITE:
-        return INFINITE
+        return INFINITE, set()
     caps = [min(m[i] for m in leads if all(e == 0 for k, e in enumerate(m) if k != i))
             for i in range(nvars)]
-    return max((sum(point) for point in product(*(range(c) for c in caps))
-                if not any(all(a <= b for a, b in zip(m, point)) for m in leads)), default=-1)
+    standard = [point for point in product(*(range(c) for c in caps))
+                if not any(all(a <= b for a, b in zip(m, point)) for m in leads)]
+    top = max(map(sum, standard), default=-1)
+    return top, {point for point in standard if sum(point) == top}
 
 
 def test_staircase_count_matches_brute_force():
@@ -250,18 +253,25 @@ def test_staircase_count_matches_brute_force():
         cases.append((nvars, []))  # the zero ideal
         cases.append((nvars, [(0,) * nvars]))  # the unit ideal
         cases.extend((nvars, _random_leads(rng, nvars)) for _ in range(150))
-    values, tops = set(), set()
+    values, tops, corner_counts = set(), set(), set()
     for nvars, leads in cases:
         ring = RingContext(tuple("abcd"[:nvars]))
         value = StandardBasis(ring, LOCAL_ORDER, (), tuple(leads)).colength()
         assert value == _brute_force_count(leads, nvars), (nvars, leads)
-        # the same walk gives the top degree of the staircase
-        top = _brute_force_top(leads, nvars)
-        assert _staircase_walk(leads) == (value, top), (nvars, leads)
+        # the same walk gives the top degree of the staircase and its
+        # corners, the standard monomials of that degree, as bare keys
+        top, corners = _brute_force_top(leads, nvars)
+        keys = _Keys(nvars, _first_width(0))
+        count, walk_top, walk_corners = _staircase_walk(leads, keys.width)
+        assert (count, walk_top) == (value, top), (nvars, leads)
+        assert len(walk_corners) == len(corners), (nvars, leads)
+        assert {keys.unpack(c) for c in walk_corners} == {(0, m) for m in corners}, (nvars, leads)
         values.add(value)
         tops.add(top)
+        corner_counts.add(len(corners))
     assert INFINITE in values and 0 in values and len(values) > 20
     assert INFINITE in tops and -1 in tops and len(tops) > 10
+    assert 0 in corner_counts and max(corner_counts) > 1
 
 
 # -- modules -----------------------------------------------------------------------
@@ -1063,7 +1073,8 @@ def _module_without_second_component_leads():
 @pytest.mark.parametrize("compute, value, reductions, nonzero", [
     # homogeneous with finite staircases: pairs above the highest corner are skipped,
     # and each of them reduced to zero (58/78/168 reductions without the stop); the
-    # walk runs whenever the basis has grown, so the stop can fire inside a degree
+    # top is known again as soon as a joining lead divides the last corner of the
+    # last walk, so the stop can fire inside a degree
     pytest.param(lambda: colength(_dense_ideal(4)), 155, 17, 17, id="dense-k4"),
     pytest.param(lambda: colength(_dense_ideal(5)), 381, 30, 23, id="dense-k5"),
     pytest.param(lambda: colength(_dense_ideal(6)), 780, 63, 51, id="dense-k6"),
@@ -1095,6 +1106,53 @@ def test_highest_corner_stop_skips_only_zero_reductions(monkeypatch, compute, va
     with time_limit(20):
         assert compute() == value
     assert (len(remainders), sum(remainders)) == (reductions, nonzero)
+
+
+@pytest.mark.parametrize("rank, make, walks", [
+    # finite from the first pair on: one walk there, then one each time the top falls
+    pytest.param(1, lambda: [[g] for g in _dense_ideal(6).generators], 9, id="dense-k6"),
+    # a variable or a component never gets a pure power: no walk at all
+    pytest.param(1, lambda: [[g] for g in ideal(XY, "x^2", "x*y").generators], 0, id="infinite-monomial"),
+    pytest.param(1, lambda: [[g] for g in ideal(XYZ, "x^2 + y*z", "x*y + z^2").generators], 0,
+                 id="infinite-quadrics"),
+    pytest.param(2, lambda: [g.components for g in _module_without_second_component_leads()], 0,
+                 id="module-empty-component"),
+])
+def test_completion_walks_only_when_its_corners_are_gone(monkeypatch, rank, make, walks):
+    # The completion walks the staircase once every component has a pure
+    # power of every variable, and again only when the leads that joined
+    # since have divided every corner of the last walk.
+    engine_walk = standard_bases._lead_walk
+    tops = []
+
+    def counted(*args):
+        out = engine_walk(*args)
+        tops.append(out[1])
+        return out
+
+    generators = make()
+    monkeypatch.setattr(standard_bases, "_lead_walk", counted)
+    with time_limit(20):
+        standard_bases._complete(rank, generators)
+    assert len(tops) == walks
+    assert INFINITE not in tops and all(a > b for a, b in zip(tops, tops[1:]))
+
+
+def test_one_term_reducers_delete_without_the_kernel(monkeypatch):
+    # A one-term basis element is primitive, so its coefficient is 1: the
+    # term it divides is deleted, and only longer reducers reach the
+    # kernel (4763 calls at dense k = 6 when every reducer did).
+    engine_reduce_at = standard_bases._reduce_at
+    lengths = []
+
+    def counted(h, at, g, glead):
+        lengths.append(len(g))
+        return engine_reduce_at(h, at, g, glead)
+
+    monkeypatch.setattr(standard_bases, "_reduce_at", counted)
+    with time_limit(20):
+        assert colength(_dense_ideal(6)) == 780
+    assert len(lengths) == 1039 and min(lengths) > 1
 
 
 def test_completion_returns_primitive_integer_vectors():
