@@ -59,9 +59,14 @@ class CoeffMatrices:
 
     def __post_init__(self):
         t = len(self.nmat)
+        nmat, mmat = self.nmat, self.mmat
+        if any(nmat[i][j] or mmat[i][j] for i in range(t) for j in range(i)):
+            raise AssertionError("coefficient matrices are not upper triangular")
+        # The product of two upper-triangular matrices is upper triangular,
+        # and its entry (i, j) sums over k from i to j alone.
         for i in range(t):
-            for j in range(t):
-                s = sum(self.nmat[i][k] * self.mmat[k][j] for k in range(t))
+            for j in range(i, t):
+                s = sum(nmat[i][k] * mmat[k][j] for k in range(i, j + 1))
                 if s != (1 if i == j else 0):
                     raise AssertionError("coefficient matrices are not inverse to each other")
 

@@ -10,10 +10,12 @@ in the index conversions).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 from itertools import combinations
+from math import lcm, prod
 from typing import List, Sequence, Tuple
 
-from .rings import Poly, RingContext, _add_term
+from .rings import Poly, RingContext, _add_term, mono_mul
 from .standard_bases import INFINITE, Ideal, colength
 
 
@@ -50,20 +52,24 @@ class OneForm:
         return cls.differential(ring.variable(index))
 
 
-def _det(matrix: Sequence[Sequence[Poly]], rows: Tuple[int, ...], cols: Tuple[int, ...]) -> Poly:
+def _det(rows: Sequence[Sequence[dict]], cols: Tuple[int, ...]) -> dict:
+    """The determinant of the given rows at the columns cols, of integer
+    term dicts {monomial: int}, by Laplace expansion along the first row."""
     if len(rows) == 1:
-        return matrix[rows[0]][cols[0]]
-    r0 = rows[0]
-    rest = rows[1:]
-    terms: dict = {}  # Laplace expansion along row r0, summed in place from zero
+        return rows[0][cols[0]]
+    first, rest = rows[0], rows[1:]
+    terms: dict = {}  # summed in place from zero
     for k, c in enumerate(cols):
-        entry = matrix[r0][c]
+        entry = first[c]
         if not entry:
             continue
-        term = entry * _det(matrix, rest, cols[:k] + cols[k + 1:])
-        for m, v in term.terms.items():
-            _add_term(terms, m, -v if k % 2 else v)
-    return Poly(matrix[r0][cols[0]].ring, terms)
+        minor = _det(rest, cols[:k] + cols[k + 1:])
+        for ma, ca in entry.items():
+            if k % 2:
+                ca = -ca
+            for mb, cb in minor.items():
+                _add_term(terms, mono_mul(ma, mb), ca * cb)
+    return terms
 
 
 def minors(matrix: Sequence[Sequence[Poly]], size: int) -> List[Poly]:
@@ -73,8 +79,18 @@ def minors(matrix: Sequence[Sequence[Poly]], size: int) -> List[Poly]:
     ncols = len(matrix[0]) if nrows else 0
     if not 1 <= size <= min(nrows, ncols):
         raise ValueError("minor size out of range")
-    return [_det(matrix, I, J) for I in combinations(range(nrows), size)
-            for J in combinations(range(ncols), size)]
+    ring = matrix[0][0].ring
+    # each row times the least common denominator of its entries
+    scales = [lcm(*(c.denominator for entry in row for c in entry.terms.values())) for row in matrix]
+    rows = [[{m: c.numerator * (scale // c.denominator) for m, c in entry.terms.items()} for entry in row]
+            for row, scale in zip(matrix, scales)]
+    out = []
+    for I in combinations(range(nrows), size):
+        scale = prod(scales[i] for i in I)
+        selected = [rows[i] for i in I]
+        for J in combinations(range(ncols), size):
+            out.append(Poly(ring, {m: Fraction(c, scale) for m, c in _det(selected, J).items()}))
+    return out
 
 
 @dataclass(frozen=True)

@@ -80,10 +80,6 @@ def mono_mul(a: Monomial, b: Monomial) -> Monomial:
     return tuple(map(add, a, b))
 
 
-def mono_lcm(a: Monomial, b: Monomial) -> Monomial:
-    return tuple(map(max, a, b))
-
-
 def sort_key(mono: Monomial):
     """The one term order, anti-graded reverse lexicographic: smaller key
     means greater monomial, so ascending-key iteration walks monomials

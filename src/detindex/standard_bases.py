@@ -72,15 +72,20 @@ from, so one check per pair covers a run.  A failed check restarts the
 run at twice the width, from the least width (16 bits at the least) that
 holds the input's degrees.  Every choice the engine makes depends on key
 order alone, which the width does not change, so the rerun returns the
-same result.  Tuples are made only at the exits:
-the lcm of a pair is taken field by field on the tuple leads and packed
-once, and results, staircases and colength counts read unpacked leads.
-Critical pairs wait in a heap keyed, when the pair is created, by
-(homogenized lcm degree, key of the lcm, i, j); leads never change, so
-the key is fixed.  Coprime leads are discarded in the ideal case (the
-product criterion is not sound for submodules of free modules), and the
-classical chain criterion prunes pairs dominated by an already-treated
-element.
+same result.  The lcm of two leads is taken on their keys too: the same
+borrow, on the top bits of the n exponent fields alone, marks the fields
+where a_i >= b_i, and so gives the fieldwise minima; the lcm's degree is
+|a| + |b| less their sum, which field n-1 of one product by
+1 + 2^W + ... + 2^((n-1)W) holds (it is below 2^(W-1), so nothing
+carries).  Tuples are made only at the exits: results, staircases and
+colength counts read unpacked leads.  Critical pairs wait in a heap
+keyed, when the pair is created, by (homogenized lcm degree, key of the
+lcm, i, j); leads never change, so the key is fixed.  Coprime leads are
+discarded in the ideal case (the product criterion is not sound for
+submodules of free modules), and the classical chain criterion prunes
+pairs dominated by an already-treated element: each element keeps a
+bitmask of the elements whose pair with it has popped, and only the
+common bits of a pair's two masks are tested.
 
 The engine is integer-only.  Coefficients are rationals (``Fraction``)
 at the public functions; denominators are cleared once on the way in,
@@ -110,23 +115,31 @@ end, so the answers are INFINITE when they are not empty.  A module
 sums the counts of its components and takes the greatest top degree
 with the corners of the components that reach it.
 
-The completion stops at the highest corner.  When all the terms of each
-generator share one degree, every vector of the run is homogeneous and
-no term carries t.  Écart 0 does not say as much for a module: under
-position over term the lead sits in the earliest nonzero component, so
-(x^2, y) has écart 0 but is (x^2, t*y) homogenized.  Once the leads of
-every component leave finitely many standard monomials, all of degree
-at most the top degree, every monomial of a greater degree lies in the
-leading module, so every pair of a greater degree reduces to zero term
-by term.  Pairs pop by degree, so the loop ends at the first such pair:
-it skips only zero reductions, and the basis, hence the standard basis
-that setting t to 1 gives (Lazard), is what the full loop returns.  A
-staircase is finite exactly when its leads hold a pure power of every
-variable (a lead of degree 0 counts for all), and no walk runs before
-that holds in every component.  Then a joining lead drops the corners
-it divides; the top stands while one is left, as the staircase only
-shrinks, and the loop walks again at the first pop after the last is
-gone.  So the loop can end inside a degree: the argument holds at any
+The completion cuts at the highest corner.  Once the leads of an ideal
+leave finitely many standard monomials, all of degree at most the top
+degree c, every monomial of degree c + 1 is a lead.  Under the local
+degree order every other term of an element has a degree at least its
+lead's, so m^(c+1) lies in the ideal by Nakayama (Greuel-Pfister,
+section 1.7; the highest corner is Grassmann et al., AAECC 7, 1996).
+So a pair whose lcm has degree above c has an S-vector in m^(c+1) and is
+skipped, and a normal form deletes every term of degree above c: the
+run is the one for the ideal plus m^(c+1), the same ideal.  When all
+the terms of each generator share one degree, every vector of the run is
+homogeneous, no term carries t, and pairs pop by degree, so the loop
+ends at the first pair above c: every term of a greater degree is
+divisible by a lead, the pairs left reduce to zero term by term, and the
+basis is term for term what the full loop returns.  Otherwise only tails
+above c can change, never a lead.  A module takes the cut only on
+homogeneous input, and only as that end of the loop: under position over
+term a tail in a later component can have a lower degree than the lead,
+so m^(c+1)O^r need not lie in the module ((x^2, y), (xy, 0), (y^2, 0),
+(0, x), (0, y^3) in x, y has top 1, yet not (x^2, 0)); nor does écart 0
+mean homogeneous, as (x^2, y) is (x^2, t*y) homogenized.  A staircase
+is finite exactly when its leads hold a pure power of every variable (a
+lead of degree 0 counts for all), and no walk runs before that holds in
+every component.  Then a joining lead drops the corners it divides; the
+top stands while one is left, as the staircase only shrinks, and the
+loop walks again at the first pop after the last is gone.  So the loop can end inside a degree: the argument holds at any
 pop.
 
 Membership is a lead question too, not a division: f lies in I exactly
@@ -149,7 +162,6 @@ from .rings import (
     Monomial,
     Poly,
     RingContext,
-    mono_lcm,
 )
 
 
@@ -236,7 +248,10 @@ class StandardBasis:
     depend on the tails.
     Membership compares staircases: I + (f) contains I, so it equals I
     exactly when the two have the same leading ideal, and so the same
-    minimal leads in the same canonical order.
+    minimal leads in the same canonical order.  For an ideal with a
+    finite staircase whose generators are not homogeneous, the tails may
+    lack terms of degree above the staircase's top degree (see the module
+    docstring): those lie in the ideal.
     """
 
     ring: RingContext
@@ -264,7 +279,8 @@ class _Overflow(Exception):
 class _Keys:
     """The term keys of one run: n variables, fields of `width` bits."""
 
-    __slots__ = ("nvars", "width", "limit", "mask", "degree_shift", "comp_shift", "tops")
+    __slots__ = ("nvars", "width", "limit", "mask", "degree_shift", "comp_shift", "tops",
+                 "exp_tops", "exp_mask", "term_mask", "ones", "sum_shift")
 
     def __init__(self, nvars: int, width: int):
         self.nvars = nvars
@@ -276,6 +292,12 @@ class _Keys:
         self.degree_shift = nvars * width
         self.comp_shift = (nvars + 1) * width
         self.tops = sum(self.limit << (i * width) for i in range(nvars + 1))
+        # the same for the n exponent fields alone, and what lcm reads
+        self.exp_tops = self.tops & ~(self.limit << self.degree_shift)
+        self.exp_mask = (1 << self.degree_shift) - 1
+        self.term_mask = (1 << self.comp_shift) - 1
+        self.ones = sum(1 << (i * width) for i in range(nvars))
+        self.sum_shift = max(nvars - 1, 0) * width
 
     def pack(self, comp: int, mono: Monomial) -> int:
         key = (comp << self.width) | sum(mono)
@@ -294,6 +316,15 @@ class _Keys:
         """Whether the term of a divides that of b, both of one component."""
         tops = self.tops
         return ((b | tops) - a) & tops == tops
+
+    def lcm(self, a: int, b: int) -> int:
+        """The key of the lcm of the terms of a and b, both of one component."""
+        # the top bit of field i survives the subtraction exactly when a_i >= b_i
+        ge = ((a | self.exp_tops) - b) & self.exp_tops
+        mins = (a ^ ((a ^ b) & (ge - (ge >> (self.width - 1))))) & self.exp_mask
+        # field n-1 of mins * (1 + 2^W + ...) holds the sum of the minima
+        sum_mins = (mins * self.ones >> self.sum_shift) & self.mask
+        return a + (b & self.term_mask) - mins - (sum_mins << self.degree_shift)
 
 
 def _first_width(degree: int) -> int:
@@ -342,11 +373,11 @@ def _vec_primitive(v: dict) -> dict:
     return {k: c // content for k, c in v.items()}
 
 
-def _reduce_at(h: dict, at: int, g: dict, glead: int) -> list:
+def _reduce_at(h: dict, at: int, g: dict, glead: int, heap: list) -> None:
     """The one cancellation kernel: h := gc*h - fc*x^shift*g in place, where
     x^shift times glead, the lead of g, is the term `at` of h, and fc, gc
     are h[at] and g[glead] divided by their gcd, so the term at `at`
-    cancels.  Returns the keys it created."""
+    cancels.  Pushes the keys it creates onto the heap."""
     glc = g[glead]
     d = gcd(h[at], glc)
     fc, gc = h[at] // d, glc // d
@@ -354,19 +385,17 @@ def _reduce_at(h: dict, at: int, g: dict, glead: int) -> list:
         for k in h:
             h[k] *= gc
     shift = at - glead
-    created = []
     for k, c in g.items():
         k += shift
         delta = c * fc
         s = h.get(k)
         if s is None:
             h[k] = -delta
-            created.append(k)
+            heapq.heappush(heap, k)
         elif s == delta:
             del h[k]
         else:
             h[k] = s - delta
-    return created
 
 
 def _s_vector(gi: dict, ilead: int, gj: dict, jlead: int, lcm_ij: int) -> dict:
@@ -378,7 +407,7 @@ def _s_vector(gi: dict, ilead: int, gj: dict, jlead: int, lcm_ij: int) -> dict:
     if len(gj) == 1:
         del h[lcm_ij]  # primitive, gj is its lead with coefficient 1
     else:
-        _reduce_at(h, lcm_ij, gj, jlead)
+        _reduce_at(h, lcm_ij, gj, jlead, [])
     return h
 
 
@@ -392,14 +421,15 @@ def _reducer_entry(g: dict, lead: int, e: int, index: int, keys: _Keys) -> tuple
     return ((len(g), -(keys.degree(lead) + e), lead, index), lead, e, g)
 
 
-def _global_normal_form(h: dict, degree: int, tables: Sequence[list], keys: _Keys) -> dict:
+def _global_normal_form(h: dict, degree: int, tables: Sequence[list], keys: _Keys, cut: int) -> dict:
     """Full reduction of the terms h of a homogeneous vector of degree
     `degree`, in place (see module docstring), against one table per
     component of _reducer_entry entries in ascending order: every term,
     lead and tail, is cancelled in ascending key order by the first
-    divisor in its component's table, until no term is divisible.  It
-    ends: a step creates only keys greater than the one it cancels, and
-    one homogeneous degree holds finitely many terms."""
+    divisor in its component's table, until no term is divisible.  Terms
+    whose key is `cut` or more are deleted.  It ends: a step creates only
+    keys greater than the one it cancels, and one homogeneous degree holds
+    finitely many terms."""
     tops, mask = keys.tops, keys.mask
     degree_shift, comp_shift = keys.degree_shift, keys.comp_shift
     heap = list(h)
@@ -409,6 +439,10 @@ def _global_normal_form(h: dict, degree: int, tables: Sequence[list], keys: _Key
         term = heapq.heappop(heap)
         if term not in h:
             continue  # cancelled since it was pushed
+        if term >= cut:
+            # every term left to reduce is at least this one
+            h = {k: c for k, c in h.items() if k < cut}
+            break
         hexp = degree - ((term >> degree_shift) & mask)
         covered = term | tops
         for _, glead, gexp, g in tables[term >> comp_shift]:
@@ -419,8 +453,7 @@ def _global_normal_form(h: dict, degree: int, tables: Sequence[list], keys: _Key
         if len(g) == 1:
             del h[term]  # primitive, g is its lead with coefficient 1
             continue
-        for k in _reduce_at(h, term, g, glead):
-            heapq.heappush(heap, k)
+        _reduce_at(h, term, g, glead, heap)
         steps += 1
         if steps % _CONTENT_EVERY == 0:
             content = gcd(*h.values())
@@ -433,11 +466,13 @@ def _global_normal_form(h: dict, degree: int, tables: Sequence[list], keys: _Key
 def _buchberger(gens: Sequence[dict], rank: int, keys: _Keys) -> List[dict]:
     """Homogenized Buchberger completion (see module docstring), with t
     set to 1 in the result."""
-    tops, limit = keys.tops, keys.limit
+    tops, limit, mask, degree_shift = keys.tops, keys.limit, keys.mask, keys.degree_shift
+    lcm_of = keys.lcm
     G: List[dict] = []
     leads: List[Monomial] = []  # leads[i]: the exponent tuple of the lead of G[i]
     lead_keys: List[int] = []
     exps: List[int] = []  # exps[i]: the exponent of t in the lead of G[i]
+    done: List[int] = []  # done[i]: bit k set once the pair {i, k} has popped
     # Per component: reducer entries in choice order (fewest terms, then
     # greatest homogenized lead degree, then greatest lead, then first
     # added), and the indices of the elements leading there.
@@ -451,7 +486,7 @@ def _buchberger(gens: Sequence[dict], rank: int, keys: _Keys) -> List[dict]:
     # corners of the last walk that no lead has divided since.
     unpowered = {(comp, i) for comp in range(rank) for i in range(keys.nvars)}
     corners: List[int] = []
-    degree_field = keys.mask << keys.degree_shift
+    degree_field = mask << degree_shift
 
     def add(v, degree):
         # The one way into the basis: record v of homogenized degree
@@ -466,6 +501,7 @@ def _buchberger(gens: Sequence[dict], rank: int, keys: _Keys) -> List[dict]:
         leads.append(m)
         lead_keys.append(lead)
         exps.append(e)
+        done.append(0)
         bisect.insort(tables[comp], _reducer_entry(v, lead, e, new, keys))
         support = [i for i, a in enumerate(m) if a]
         if len(support) <= 1:  # a pure power, or 1, which is one of every variable
@@ -476,17 +512,17 @@ def _buchberger(gens: Sequence[dict], rank: int, keys: _Keys) -> List[dict]:
             corners = [c for c in corners
                        if c >> keys.comp_shift != comp or not keys.divides(bare, c)]
         for k in members[comp]:
-            lcm_kn = mono_lcm(leads[k], m)
-            degree = sum(lcm_kn) + max(exps[k], e)
+            lcm_kn = lcm_of(lead_keys[k], lead)
+            degree = ((lcm_kn >> degree_shift) & mask) + max(exps[k], e)
             # Bounds every exponent and degree of the pair's S-vector
             # and its reduction; see _complete for the restart.
             if degree >= limit:
                 raise _Overflow
-            heapq.heappush(pairs, (degree, keys.pack(comp, lcm_kn), k, new))
+            heapq.heappush(pairs, (degree, lcm_kn, k, new))
         members[comp].append(new)
 
-    # the highest-corner stop (see module docstring) is for input whose
-    # every generator has all its terms in one degree
+    # the highest-corner cut (see module docstring) ends the loop on input
+    # whose every generator has all its terms in one degree
     homogeneous = True
     for g in gens:
         if g:
@@ -495,27 +531,38 @@ def _buchberger(gens: Sequence[dict], rank: int, keys: _Keys) -> List[dict]:
             degrees = {keys.degree(k) for k in g}
             homogeneous = homogeneous and len(degrees) == 1
             add(_vec_primitive(g), max(degrees))
-    done = set()
     top = INFINITE
+    # Terms with keys from cut on lie above the top, and an ideal's normal
+    # forms delete them; no key reaches the first cut, nor a module's.
+    cut = rank << keys.comp_shift
 
     while pairs:
         degree, lcm_ij, i, j = heapq.heappop(pairs)
-        if homogeneous and not unpowered and not corners:
+        if (rank == 1 or homogeneous) and not unpowered and not corners:
             _, top, corners = _lead_walk([[leads[k] for k in ks] for ks in members], keys)
-        if top is not INFINITE and degree > top:
-            break  # every pair left reduces to zero
-        done.add((i, j))
+            if rank == 1:
+                cut = (top + 1) << degree_shift
+        if top is not INFINITE and (lcm_ij >> degree_shift) & mask > top:
+            if homogeneous:
+                break  # pairs pop by degree: every pair left lies above the top
+            continue  # the S-vector lies in m^(top+1), inside the ideal
+        done[i] |= 1 << j
+        done[j] |= 1 << i
         if rank == 1 and min(exps[i], exps[j]) == 0 and lcm_ij == lead_keys[i] + lead_keys[j]:
             continue  # product criterion; sound for ideals only
         lcm_exp = max(exps[i], exps[j])
         covered = lcm_ij | tops
-        if any(k != i and k != j and exps[k] <= lcm_exp
-               and (covered - lead_keys[k]) & tops == tops
-               and (min(i, k), max(i, k)) in done and (min(j, k), max(j, k)) in done
-               for k in members[lcm_ij >> keys.comp_shift]):
+        # the elements k whose pairs with i and with j have both popped
+        common = done[i] & done[j]
+        while common:
+            k = (common & -common).bit_length() - 1
+            if exps[k] <= lcm_exp and (covered - lead_keys[k]) & tops == tops:
+                break
+            common &= common - 1
+        if common:
             continue  # chain criterion
         s = _s_vector(G[i], lead_keys[i], G[j], lead_keys[j], lcm_ij)
-        h = _global_normal_form(s, degree, tables, keys)
+        h = _global_normal_form(s, degree, tables, keys, cut)
         if h:
             add(h, degree)
     return G

@@ -99,6 +99,27 @@ def test_coeff_matrices_reject_a_pair_that_is_not_inverse(nmat, mmat):
         CoeffMatrices(nmat, mmat)
 
 
+def test_coeff_matrices_check_every_entry():
+    # The check reads the band k = i..j of each product entry only after
+    # both matrices are found upper triangular, so one wrong entry
+    # anywhere, below the diagonal or on or above it, still raises.
+    good = coeff_matrices(5, 6, 4)
+    for which in ("nmat", "mmat"):
+        for i in range(4):
+            for j in range(4):
+                mats = {"nmat": [list(row) for row in good.nmat], "mmat": [list(row) for row in good.mmat]}
+                mats[which][i][j] += 1
+                message = "not upper triangular" if i > j else "not inverse to each other"
+                with pytest.raises(AssertionError, match=message):
+                    CoeffMatrices(tuple(map(tuple, mats["nmat"])), tuple(map(tuple, mats["mmat"])))
+
+
+def test_coeff_matrices_reject_an_inverse_pair_that_is_not_upper_triangular():
+    lower, inverse = ((1, 0), (1, 1)), ((1, 0), (-1, 1))
+    with pytest.raises(AssertionError, match="not upper triangular"):
+        CoeffMatrices(lower, inverse)
+
+
 def test_coeff_matrix_entry_via_hyperplane_section():
     # n_ij is the signed reduced Euler characteristic of a hyperplane
     # section of the normal matrix space, with sign from its dimension

@@ -1,5 +1,6 @@
 import random
 import re
+from fractions import Fraction
 from itertools import combinations
 
 import pytest
@@ -20,6 +21,8 @@ from detindex import (
     stratum_dim,
     stratum_ideal,
 )
+
+from detindex.rings import Poly, mono_mul
 
 from conftest import random_poly
 
@@ -70,6 +73,46 @@ def test_minors_diagonal(ring_xy):
 def test_minors_size_out_of_range(ring_xy):
     with pytest.raises(ValueError):
         minors([[P("x", ring_xy)]], 2)
+
+
+def _fraction_minor(matrix, rows, cols):
+    """The minor at rows and cols by Laplace expansion along the first row,
+    term by term in Fractions."""
+    if len(rows) == 1:
+        return dict(matrix[rows[0]][cols[0]].terms)
+    out = {}
+    for k, c in enumerate(cols):
+        sign = -1 if k % 2 else 1
+        rest = _fraction_minor(matrix, rows[1:], cols[:k] + cols[k + 1:])
+        for ma, ca in matrix[rows[0]][c].terms.items():
+            for mb, cb in rest.items():
+                m = mono_mul(ma, mb)
+                out[m] = out.get(m, 0) + sign * ca * cb
+    return {m: c for m, c in out.items() if c}
+
+
+def test_minors_match_the_term_by_term_fraction_laplace_expansion(ring_xyz):
+    # minors clears denominators once per row and expands on integers:
+    # rows scaled by 7/3 or with mixed denominators come out exact.
+    rng = random.Random(34)
+    scaled = 0
+    for _ in range(40):
+        nrows, ncols = rng.randint(1, 4), rng.randint(1, 4)
+        matrix = []
+        for _ in range(nrows):
+            scale = rng.choice((Fraction(1), Fraction(7, 3), Fraction(-5, 6)))
+            row = [random_poly(ring_xyz, rng, 3, 2) for _ in range(ncols)]
+            row = [Poly(ring_xyz, {m: c * scale / rng.choice((1, 1, 2, 5)) for m, c in e.terms.items()})
+                   for e in row]
+            matrix.append(row)
+            scaled += scale != 1
+        for size in range(1, min(nrows, ncols) + 1):
+            expected = [Poly(ring_xyz, _fraction_minor(matrix, I, J))
+                        for I, J in minor_keys(nrows, ncols, size)]
+            got = minors(matrix, size)
+            assert got == expected
+            assert all(type(c) is Fraction for p in got for c in p.terms.values())
+    assert scaled > 20
 
 
 def minor_keys(nrows, ncols, size):

@@ -29,7 +29,7 @@ from detindex import (
 )
 
 from detindex import standard_bases
-from detindex.rings import mono_lcm, mono_mul, sort_key
+from detindex.rings import mono_mul, sort_key
 from detindex.standard_bases import (
     _Keys,
     _first_width,
@@ -435,6 +435,10 @@ def _mono_divides(a, b):
     return all(x <= y for x, y in zip(a, b))
 
 
+def _mono_lcm(a, b):
+    return tuple(map(max, a, b))
+
+
 def _lead(terms, key):
     """(term, coefficient) of the greatest term of a terms dict under key."""
     lead = min(terms, key=lambda cm: (cm[0], key(cm[1])))
@@ -486,7 +490,7 @@ def _reference_reduce_step(h, hlead, g, glead, key=sort_key):
 def _reference_spair(gi, gj):
     (_, mi), ci = _lead(gi, sort_key)
     (_, mj), cj = _lead(gj, sort_key)
-    lcm_ij = mono_lcm(mi, mj)
+    lcm_ij = _mono_lcm(mi, mj)
     return _reference_cancel(gi, ci, _mono_quotient(lcm_ij, mi), gj, cj, _mono_quotient(lcm_ij, mj))
 
 
@@ -566,7 +570,7 @@ def _reference_buchberger(gens, rank, keys):
 
     def push(i, j):
         comp, mi = lead_of(i)
-        lcm_ij = mono_lcm(mi, lead_of(j)[1])
+        lcm_ij = _mono_lcm(mi, lead_of(j)[1])
         heapq.heappush(pairs, (sum(lcm_ij), comp, _slot_key(lcm_ij), i, j, lcm_ij))
 
     for j in range(len(G)):
@@ -613,6 +617,11 @@ def _random_homogeneous_vec(rng, nvars, rank, degree, nterms):
 _PACKING3 = _Packing(_Keys(3, _first_width(0)))
 
 
+def _no_cut(rank):
+    """A cut for _global_normal_form that no key of rank `rank` reaches."""
+    return rank << _PACKING3.keys.comp_shift
+
+
 @pytest.mark.parametrize("rank", [1, 2])
 def test_s_vector_made_primitive_matches_reference(rank):
     rng = random.Random(30 + rank)
@@ -630,7 +639,7 @@ def test_s_vector_made_primitive_matches_reference(rank):
         if ci != cj:
             continue
         pack = packing.keys.pack
-        lcm_ij = pack(ci, mono_lcm(mi, mj))
+        lcm_ij = pack(ci, _mono_lcm(mi, mj))
         got = _vec_primitive(_s_vector(packing.vec(gi), pack(ci, mi), packing.vec(gj), pack(cj, mj), lcm_ij))
         assert packing.terms(got) == _reference_spair(gi, gj)
         pairs += 1
@@ -671,7 +680,7 @@ def test_in_place_reducer_matches_step_by_step_reference(rank):
     for f, degree, reducers, exps, tables in _random_reductions(rank):
         expected = _reference_global_normal_form(f, degree, reducers, exps, ties)
         with time_limit(10):
-            got = _global_normal_form(packing.vec(f), degree, tables, packing.keys)
+            got = _global_normal_form(packing.vec(f), degree, tables, packing.keys, _no_cut(rank))
             assert packing.terms(got) == expected
         reduced += expected != f
     assert reduced > 40
@@ -687,7 +696,7 @@ def test_normal_form_leaves_no_term_a_reducer_divides(rank):
     keys = _PACKING3.keys
     tails = 0
     for f, degree, _, _, tables in _random_reductions(rank):
-        got = _global_normal_form(_PACKING3.vec(f), degree, tables, keys)
+        got = _global_normal_form(_PACKING3.vec(f), degree, tables, keys, _no_cut(rank))
         for k in got:
             comp, mono = keys.unpack(k)
             assert not any(gexp <= degree - sum(mono) and keys.divides(glead, k)
@@ -904,7 +913,7 @@ def test_reducer_table_holds_each_basis_element_once(monkeypatch):
                               max(sum(m) for _, m in terms) - sum(lead)))
         return engine_buchberger(gens, rank, keys)
 
-    def checked_normal_form(h, degree, tables, keys):
+    def checked_normal_form(h, degree, tables, keys, cut):
         assert len(tables) == module_rank
         lead_comps = [_lead(terms, sort_key)[0][0] for terms, _ in basis]
         for comp, table in enumerate(tables):
@@ -919,7 +928,7 @@ def test_reducer_table_holds_each_basis_element_once(monkeypatch):
                 (_, lead), _ = _lead(terms, sort_key)
                 key = keys.pack(comp, lead)
                 assert entry == ((len(terms), -(sum(lead) + e), key, idx), key, e, g)
-        out = engine_normal_form(h, degree, tables, keys)
+        out = engine_normal_form(h, degree, tables, keys, cut)
         if out:
             terms = packing.terms(out)
             (_, lead), _ = _lead(terms, sort_key)
@@ -1006,6 +1015,16 @@ def test_borrow_test_is_monomial_divisibility(case, data):
         assert keys.divides(keys.pack(comp, b), keys.pack(comp, a)) == _mono_divides(b, a), b
 
 
+@KEYS_PROPERTY
+@given(_key_cases())
+def test_packed_lcm_is_the_lcm_of_the_exponent_tuples(case):
+    # Exponents run up to limit - 1, so the lcm's degree may pass the
+    # limit; it still fits its field, and the completion restarts there.
+    keys, comp, monomial = case
+    a, b = monomial(), monomial()
+    assert keys.lcm(keys.pack(comp, a), keys.pack(comp, b)) == keys.pack(comp, _mono_lcm(a, b))
+
+
 def _record_widths(monkeypatch):
     """The width of every set of keys the engine makes from now on."""
     widths = []
@@ -1082,10 +1101,14 @@ def _module_without_second_component_leads():
     # 1451 = sum over d of max(0, h_d - h_(d-7)), h the Hilbert function of the
     # monomial complete intersection (x^7, y^7, z^7, u^7)
     pytest.param(lambda: colength(_dense_ideal(7)), 1451, 103, 63, id="dense-k7"),
-    # the stop must not fire: inhomogeneous input, a homogeneous INFINITE staircase,
-    # a component without leads, and a module of écart 0 that is not homogeneous
-    pytest.param(lambda: colength(algebra_ideal(*_threefold_and_form())), 8, 182, 27,
+    # inhomogeneous ideal with a finite staircase of top degree 3: the loop runs on, but
+    # skips each pair whose lcm has degree above 3, and the normal forms delete every
+    # term above it, as all those lie in m^4, inside the ideal (182 reductions, 27 nonzero,
+    # without the cut)
+    pytest.param(lambda: colength(algebra_ideal(*_threefold_and_form())), 8, 67, 6,
                  id="threefold-algebra"),
+    # nothing is cut: a homogeneous INFINITE staircase, a component without leads, and a
+    # module of écart 0 that is not homogeneous
     pytest.param(lambda: colength(ideal(XY, "x^2", "x*y")), INFINITE, 1, 0, id="infinite-monomial"),
     pytest.param(lambda: colength(ideal(XYZ, "x^2 + y*z", "x*y + z^2")), INFINITE, 2, 1,
                  id="infinite-quadrics"),
@@ -1106,6 +1129,70 @@ def test_highest_corner_stop_skips_only_zero_reductions(monkeypatch, compute, va
     with time_limit(20):
         assert compute() == value
     assert (len(remainders), sum(remainders)) == (reductions, nonzero)
+
+
+def test_modules_take_no_highest_corner_cut():
+    # The top of this module's staircases is 1, yet (x^2, 0) is not in it:
+    # under position over term the tail y of (x^2, y) lies in a later
+    # component, at a degree below its lead's, so m^2*O^2 is not inside
+    # the module, and deleting terms above the top would count 6.
+    assert module_colength(2, _mixed_degree_module()) == 5
+
+
+def _finite_inhomogeneous_ideals():
+    """Ideals in three variables with finite staircases: a pure power of
+    each variable plus random terms of higher degree, and one or two
+    random generators more, of mixed degrees."""
+    rng = random.Random(34)
+    ideals = []
+    for _ in range(40):
+        gens = []
+        for i in range(3):
+            k = rng.randint(2, 4)
+            gens.append(XYZ.variable(i) ** k + Poly(XYZ, {
+                m: Fraction(rng.choice((-3, -1, 1, 2, 5)), rng.choice((1, 2, 3)))
+                for m in (_random_monomial(rng, 3, rng.randint(k + 1, k + 3)) for _ in range(rng.randint(0, 3)))}))
+        gens += [random_poly(XYZ, rng, 4, 4, allow_constant=False) for _ in range(rng.randint(1, 2))]
+        ideals.append(Ideal([g for g in gens if g]))
+    return ideals
+
+
+def _random_monomial(rng, nvars, degree):
+    mono = [0] * nvars
+    for _ in range(degree):
+        mono[rng.randrange(nvars)] += 1
+    return tuple(mono)
+
+
+def test_highest_corner_cut_keeps_inhomogeneous_staircases(monkeypatch):
+    # Once the top c of a finite staircase is known, every monomial of
+    # degree c + 1 is a lead, and every other term of an element has a
+    # degree at least its lead's, so m^(c+1) lies in the ideal (Nakayama):
+    # pairs above c and terms above c may go.  The step-by-step reference
+    # never cuts; the leads, and so colength and staircase, agree.
+    ideals = _finite_inhomogeneous_ideals()
+    with time_limit(20):
+        got = [(colength(I), standard_basis(I).staircase) for I in ideals]
+    assert all(value is not INFINITE for value, _ in got)
+    assert any(len({sum(m) for m in g.terms}) > 1 for I in ideals for g in I.generators)
+    monkeypatch.setattr(standard_bases, "_buchberger", _reference_buchberger)
+    assert [(colength(I), standard_basis(I).staircase) for I in ideals] == got
+
+
+def test_normal_form_cut_keeps_the_terms_below_it():
+    # Terms surface in ascending key order and a step only creates greater
+    # keys, so the reduction below the cut is the uncut one's up to a
+    # scalar: the terms below it, made primitive.
+    keys = _PACKING3.keys
+    cut_some = 0
+    for f, degree, _, _, tables in _random_reductions(1):
+        full = _global_normal_form(_PACKING3.vec(f), degree, tables, keys, _no_cut(1))
+        for top in range(degree):
+            cut = (top + 1) << keys.degree_shift
+            got = _global_normal_form(_PACKING3.vec(f), degree, tables, keys, cut)
+            assert got == _vec_primitive({k: c for k, c in full.items() if k < cut})
+            cut_some += len(got) < len(full)
+    assert cut_some > 20
 
 
 @pytest.mark.parametrize("rank, make, walks", [
@@ -1145,9 +1232,9 @@ def test_one_term_reducers_delete_without_the_kernel(monkeypatch):
     engine_reduce_at = standard_bases._reduce_at
     lengths = []
 
-    def counted(h, at, g, glead):
+    def counted(h, at, g, glead, heap):
         lengths.append(len(g))
-        return engine_reduce_at(h, at, g, glead)
+        return engine_reduce_at(h, at, g, glead, heap)
 
     monkeypatch.setattr(standard_bases, "_reduce_at", counted)
     with time_limit(20):
