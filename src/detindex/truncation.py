@@ -38,8 +38,19 @@ the rows before m*g, times x_i, are rows before x_i*m*g or zero.  So
 when m*g lies in the span of the rows before it, so does x_i*m*g: it
 would reduce to zero and add no pivot.  A generator's row for m is
 skipped when m/x_i was dependent (reduced to zero or was skipped) for
-some x_i dividing m.  The pivots are those of the elimination of every
-row, entry for entry.
+some x_i dividing m.
+
+The same argument builds every other row from a stored pivot, as
+Faugère's Simplify does in F4.  Only m = 1 is built from the
+generator's terms; for m != 1, with x_i the last variable dividing m,
+the row is x_i times the pivot that m/x_i*g became, cut below D.  That
+pivot is a nonzero multiple of m/x_i*g plus rows before it, so the new
+row is a nonzero multiple of m*g modulo the rows before m*g: row by row
+the rows span what the rows m*g span, and the same rows are dependent.
+A pivot is the one primitive row in the span of the rows up to its own
+that is zero on every earlier pivot column, so the pivots are those of
+the elimination of every row m*g, entry for entry; a row built from a
+reduced pivot reaches them in far fewer steps.
 
 Because the associated graded module of a quotient is generated in
 degree zero, two equal consecutive values dim at caps D-1 and D certify
@@ -55,7 +66,12 @@ one at 2(d0 - 1).  The report does not depend on where the rounds
 fall: its degree_cap is the least cap of the doubling schedule 4, 8,
 16, ..., ceiling at or past the first plateau d0 (the ceiling if there
 is none), and its per_degree is H(1..degree_cap), extended by the
-plateau value past the last round's cap.
+plateau value past the last round's cap.  The rounds go down from the
+ceiling while the cap is above start (a keyword argument,
+ORACLE_START_CAP by default): start at the ceiling runs the ceiling's
+round alone, and H, and so the report, stays the same.  The
+command line does that after an INFINITE engine value, which only a
+give-up agrees with, so a wrong INFINITE costs time, never the report.
 
 An ideal is the rank-1 case: its generators and a module's go through
 one row builder.  The linear algebra runs on integer rows (denominators
@@ -72,7 +88,7 @@ from heapq import heappop, heappush
 from itertools import accumulate
 from math import comb, gcd, lcm
 from operator import mul
-from typing import List, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 from .standard_bases import INFINITE, FreeModuleElement, Ideal, _check_module_gens
 
@@ -116,30 +132,30 @@ def _hilbert_samuel(rank: int, gen_terms, nvars: int, cap: int) -> List[int]:
     codes = _multiplier_codes(nvars, cap)
     base = cap**nvars
     step = rank * base
+    end = cap * step  # the least key of degree cap
 
     pivots = {}  # column key -> its primitive row {key: coefficient}, lead > 0
     for gen in gen_terms:
-        terms = [
-            (sum(m), sum(m) * step + comp * base + sum(map(mul, m, weights)), c)
-            for (comp, m), c in gen
-            if sum(m) < cap
-        ]
-        if not terms:
+        row = {sum(m) * step + comp * base + sum(map(mul, m, weights)): c
+               for (comp, m), c in gen if sum(m) < cap}
+        if not row:
             continue  # no term below the cap: every row is zero
-        top = cap - 1 - min(deg for deg, _, _ in terms)  # the multipliers' top degree
-        dependent = set()  # codes of the multipliers whose row was dependent
-        for mdeg in range(top + 1):
+        top = cap - 1 - min(row) // step  # the multipliers' top degree
+        made = {0: _add_row(row, pivots)}  # multiplier code -> the lead of its row's pivot, or None
+        for mdeg in range(1, top + 1):
             for mcode in codes[mdeg]:
                 for w in weights:
-                    # m/x_i dependent, where m_i >= 1: without the digit test
-                    # mcode - w could borrow into another monomial
-                    if mcode - w in dependent and mcode // w % cap:
-                        dependent.add(mcode)
-                        break
+                    # x_i divides m: without the digit test mcode - w could
+                    # borrow into another monomial
+                    if mcode // w % cap:
+                        lead = made.get(mcode - w)
+                        if lead is None:
+                            break  # m/x_i was dependent, so m is
+                        shift = step + w
                 else:
-                    shift = mdeg * step + mcode
-                    if not _add_row({key + shift: c for deg, key, c in terms if deg < cap - mdeg}, pivots):
-                        dependent.add(mcode)
+                    # x_i, the last variable dividing m, times the pivot of m/x_i
+                    row = {k + shift: v for k, v in pivots[lead].items() if k + shift < end}
+                    made[mcode] = _add_row(row, pivots)
 
     # free[e]: the rank * C(e+nvars-1, nvars-1) columns of degree e minus its pivots
     free = [rank * comb(e + nvars - 1, nvars - 1) for e in range(cap)]
@@ -161,9 +177,10 @@ def _multiplier_codes(nvars: int, cap: int) -> List[List[int]]:
     return codes
 
 
-def _add_row(row: dict, pivots: dict) -> bool:
+def _add_row(row: dict, pivots: dict) -> Optional[int]:
     """Reduce row {key: coefficient} against the pivots and store it, made
-    primitive, as the pivot at its lead; False when it reduces to zero."""
+    primitive, as the pivot at its lead; return the lead, or None when the
+    row reduces to zero."""
     # Walk the row's columns upward.  A pivot row has no column below
     # its pivot, so clearing a column only adds later ones.
     get = row.get
@@ -200,13 +217,13 @@ def _add_row(row: dict, pivots: dict) -> bool:
                 else:
                     del row[k]
     if lead is None:
-        return False
+        return None
     # Tail-reduced; kept as is when already primitive with a positive lead.
     content = gcd(*row.values())
     if row[lead] < 0:
         content = -content
     pivots[lead] = row if content == 1 else {k: v // content for k, v in row.items()}
-    return True
+    return lead
 
 
 def _gen_terms(gens):
@@ -222,11 +239,11 @@ def _gen_terms(gens):
     return out
 
 
-def _stabilize(rank: int, gen_terms, nvars: int, ceiling: int) -> TruncationReport:
+def _stabilize(rank: int, gen_terms, nvars: int, ceiling: int, start: int) -> TruncationReport:
     if ceiling < 2:
         raise ValueError("ceiling must be at least 2: stabilization compares two caps")
     rounds = [ceiling]
-    while rounds[-1] > ORACLE_START_CAP:
+    while rounds[-1] > start:
         rounds.append((2 * rounds[-1] + 2) // 3)
     for cap in reversed(rounds):
         dims = _hilbert_samuel(rank, gen_terms, nvars, cap)
@@ -244,16 +261,16 @@ def _stabilize(rank: int, gen_terms, nvars: int, ceiling: int) -> TruncationRepo
     return TruncationReport(report_cap, tuple(enumerate(dims[: report_cap + 1]))[1:], True, dims[cap])
 
 
-def stabilized_colength(ideal: Ideal, ceiling: int = ORACLE_CEILING) -> TruncationReport:
-    """Rounds two thirds apart up to the ceiling; stabilized=False is an
-    honest give-up."""
-    return _stabilize(1, _gen_terms((g,) for g in ideal.generators), ideal.ring.nvars, ceiling)
+def stabilized_colength(ideal: Ideal, ceiling: int = ORACLE_CEILING, *, start: int = ORACLE_START_CAP) -> TruncationReport:
+    """Rounds two thirds apart from start up to the ceiling (start at the
+    ceiling: its round alone); stabilized=False is an honest give-up."""
+    return _stabilize(1, _gen_terms((g,) for g in ideal.generators), ideal.ring.nvars, ceiling, start)
 
 
 def stabilized_module_colength(
-    rank: int, gens: Sequence[FreeModuleElement], ceiling: int = ORACLE_CEILING
+    rank: int, gens: Sequence[FreeModuleElement], ceiling: int = ORACLE_CEILING, *, start: int = ORACLE_START_CAP
 ) -> TruncationReport:
     _check_module_gens(rank, gens)  # the rank is checked first, also with no generators
     if not gens:
         raise ValueError("need at least one module generator")
-    return _stabilize(rank, _gen_terms(gen.components for gen in gens), gens[0].ring.nvars, ceiling)
+    return _stabilize(rank, _gen_terms(gen.components for gen in gens), gens[0].ring.nvars, ceiling, start)

@@ -1,4 +1,6 @@
 import copy
+import json
+import os
 import pickle
 import random
 from fractions import Fraction
@@ -21,7 +23,7 @@ from detindex import (
     stabilized_colength,
     stabilized_module_colength,
 )
-from detindex import truncation
+from detindex import cli, truncation
 
 from conftest import _rank, chi_bar_sum, oracle_dims, random_poly, rng_for, truncated_dims
 
@@ -304,6 +306,50 @@ def test_rounds_stop_at_the_plateau(ring_xy, monkeypatch):
     assert report == _doubling_report(1, [(P("x^7", ring_xy),), (P("y", ring_xy),)], 2, 64)
 
 
+def test_an_infinite_engine_value_runs_the_ceilings_round_alone(tmp_path, capsys, monkeypatch):
+    # the surface with d(x^3 + y^3 + z^3 + u^3 + xyz): its algebra index is
+    # INFINITE, so only a give-up can agree, and the report is the one the
+    # rounds 4, 6, 8 give
+    with open(os.path.join(os.path.dirname(__file__), os.pardir, "manifests", "surface-232.json")) as fh:
+        doc = json.load(fh)
+    doc["form"] = ["3*x^2 + y*z", "3*y^2 + x*z", "3*z^2 + x*y", "3*u^2"]
+    path = tmp_path / "surface-infinite.json"
+    path.write_text(json.dumps(doc))
+    argv = ["alg-index", str(path), "--oracle", "--degree-cap", "8"]
+    caps = record_caps(monkeypatch)
+    assert cli.run(argv) == 2
+    single = capsys.readouterr().out
+    assert caps == [8]
+    assert json.loads(single)["provenance"]["oracle"] == {
+        "agrees": True, "degree_cap": 8, "stabilized": False, "value": None}
+    oracle = cli.stabilized_colength
+    monkeypatch.setattr(cli, "stabilized_colength", lambda ideal, ceiling, start: oracle(ideal, ceiling))
+    caps.clear()
+    assert cli.run(argv) == 2
+    assert caps == [4, 6, 8]
+    assert capsys.readouterr().out == single
+
+
+def test_an_oracle_told_infinite_on_a_finite_ideal_reports_as_its_rounds(tmp_path, capsys, ring_xy, monkeypatch):
+    # the report is a function of H alone: the one round at the ceiling
+    # finds the rounds' plateau, so a wrong INFINITE costs only time
+    J = Ideal([P("x^7", ring_xy), P("y", ring_xy)])
+    caps = record_caps(monkeypatch)
+    rounds = stabilized_colength(J)
+    assert caps == [4, 5, 7, 10]
+    caps.clear()
+    assert stabilized_colength(J, start=64) == rounds
+    assert caps == [64]
+    caps.clear()
+    path = tmp_path / "m.json"
+    path.write_text(json.dumps({"variables": ["x", "y"], "ideal": ["x^7", "y"]}))
+    monkeypatch.setattr(cli, "colength", lambda ideal: INFINITE)
+    assert cli.run(["colength", str(path), "--oracle"]) == 2
+    assert caps == [64]
+    assert json.loads(capsys.readouterr().out)["provenance"]["oracle"] == {
+        "agrees": False, "degree_cap": rounds.degree_cap, "stabilized": True, "value": 7}
+
+
 def _monomials_below(nvars, cap):
     """Every exponent tuple of degree < cap, by degree, then lex."""
     return sorted((m for m in product(range(cap), repeat=nvars) if sum(m) < cap),
@@ -403,6 +449,57 @@ def test_skipping_dependent_rows_keeps_every_dimension():
         assert truncation._hilbert_samuel(rank, gen_terms, nvars, cap) == expected, (rank, nvars, cap, gen_terms)
 
 
+def _generator_row_pivots(rank, gen_terms, nvars, cap):
+    """The pivots of the elimination whose row for a multiplier m is m*g
+    cut below the cap, built from the generator's own terms, with the
+    same skip rule and the same _add_row."""
+    weights = [cap**i for i in range(nvars)]
+    codes = truncation._multiplier_codes(nvars, cap)
+    base = cap**nvars
+    step = rank * base
+    pivots = {}
+    for gen in gen_terms:
+        terms = [(sum(m), sum(m) * step + comp * base + sum(map(mul, m, weights)), c)
+                 for (comp, m), c in gen if sum(m) < cap]
+        if not terms:
+            continue
+        dependent = set()
+        for mdeg in range(cap - min(deg for deg, _, _ in terms)):
+            for mcode in codes[mdeg]:
+                if any(mcode - w in dependent and mcode // w % cap for w in weights):
+                    dependent.add(mcode)
+                    continue
+                shift = mdeg * step + mcode
+                row = {key + shift: c for deg, key, c in terms if deg < cap - mdeg}
+                if truncation._add_row(row, pivots) is None:
+                    dependent.add(mcode)
+    return pivots
+
+
+def test_rows_built_from_pivots_give_the_generator_rows_pivots(monkeypatch):
+    # x_i times the pivot of m/x_i spans, with the rows before it, what
+    # m*g spans: every pivot is the same dict, entry for entry
+    add_row = truncation._add_row
+    seen = []
+
+    def capturing(row, pivots):
+        seen.append(pivots)
+        return add_row(row, pivots)
+
+    monkeypatch.setattr(truncation, "_add_row", capturing)
+    rng = random.Random("pivots from pivots")
+    entries = 0
+    for trial in range(2400):
+        rank, nvars, cap = 1 + trial % 3, 1 + trial // 3 % 4, 2 + trial // 12 % 7
+        gen_terms = _random_gen_terms(rng, rank, nvars)
+        seen.clear()
+        truncation._hilbert_samuel(rank, gen_terms, nvars, cap)
+        pivots = seen[0] if seen else {}
+        assert pivots == _generator_row_pivots(rank, gen_terms, nvars, cap), (rank, nvars, cap, gen_terms)
+        entries += sum(map(len, pivots.values()))
+    assert entries > 10000
+
+
 def test_multiples_of_a_dependent_row_are_not_built(ring_xy, monkeypatch):
     # (x, y) at cap 8: the 28 rows x*m are independent; of y's rows only
     # y*x reduces to zero, and every later multiplier divisible by x is
@@ -416,12 +513,12 @@ def test_multiples_of_a_dependent_row_are_not_built(ring_xy, monkeypatch):
 
     monkeypatch.setattr(truncation, "_add_row", counting)
     assert ideal_dims(Ideal([P("x", ring_xy), P("y", ring_xy)]), 8) == tuple((d, 1) for d in range(1, 9))
-    assert len(built) == 36 and built.count(False) == 1
+    assert len(built) == 36 and built.count(None) == 1
     # (x, xy): the row xy reduces to zero, so every multiplier of degree 1
     # has a dependent divisor, and the generator's rows end there
     built.clear()
     ideal_dims(Ideal([P("x", ring_xy), P("x*y", ring_xy)]), 8)
-    assert len(built) == 28 + 1 and built.count(False) == 1
+    assert len(built) == 28 + 1 and built.count(None) == 1
 
 
 def test_a_pivot_is_its_reduced_row_made_primitive():
@@ -436,7 +533,7 @@ def test_a_pivot_is_its_reduced_row_made_primitive():
             row = {k: scale * c for k in rng.sample(range(ncols), rng.randint(1, ncols)) if (c := rng.randint(-6, 6))}
             if row:
                 rows.append([Fraction(row.get(k, 0)) for k in range(ncols)])
-                if truncation._add_row(row, pivots) and gcd(*row.values()) == 1 and row[min(row)] > 0:
+                if truncation._add_row(row, pivots) is not None and gcd(*row.values()) == 1 and row[min(row)] > 0:
                     assert pivots[min(row)] is row  # already primitive: stored with no copy
         earlier = set()
         for col, pivot in pivots.items():
@@ -454,7 +551,7 @@ def test_a_pivot_is_its_reduced_row_made_primitive():
                 combo[k] = combo.get(k, 0) + scale * v
         combo = {k: c for k, c in combo.items() if c}
         if combo:
-            assert truncation._add_row(combo, pivots) is False
+            assert truncation._add_row(combo, pivots) is None
             assert pivots == before
 
 
